@@ -40,7 +40,7 @@ fn bench_lane_kernels(c: &mut Criterion) {
     let size = 1usize << n;
     for k in [1u32, 4, 8] {
         let plan = Plan::binary_iterative(n, k).expect("valid");
-        let fused = CompiledPlan::compile_fused(&plan, &FusionPolicy::unbounded());
+        let fused = CompiledPlan::compile(&plan).fuse(&FusionPolicy::unbounded());
         group.throughput(Throughput::Elements(size as u64));
         for (mode, schedule) in [
             ("scalar", fused.clone()),

@@ -831,31 +831,6 @@ impl CompiledPlan {
         }
     }
 
-    /// Compile and fuse in one step: `CompiledPlan::compile(plan).fuse(policy)`.
-    pub fn compile_fused(plan: &Plan, policy: &FusionPolicy) -> Self {
-        Self::compile(plan).fuse(policy)
-    }
-
-    /// Compile under the three pre-pipeline executor knobs — fusion, tail
-    /// relayout, and kernel backend:
-    /// `compile(plan).fuse(fusion).relayout(relayout).with_simd(simd)`.
-    ///
-    /// This is the legacy entry point kept for callers that predate the
-    /// staged pipeline; it never runs the re-codelet stage.
-    /// Prefer [`CompiledPlan::compile_exec`], which lowers through the
-    /// full pipeline under one [`ExecPolicy`].
-    pub fn compile_with(
-        plan: &Plan,
-        fusion: &FusionPolicy,
-        relayout: &RelayoutPolicy,
-        simd: &SimdPolicy,
-    ) -> Self {
-        Self::compile(plan)
-            .fuse(fusion)
-            .relayout(relayout)
-            .with_simd(simd)
-    }
-
     /// Compile and lower through the full staged pipeline under `policy`:
     /// `CompiledPlan::compile(plan).lower(policy)`.
     pub fn compile_exec(plan: &Plan, policy: &ExecPolicy) -> Self {
@@ -1752,28 +1727,4 @@ pub fn compiled_for_exec(plan: &Plan, policy: &ExecPolicy) -> Rc<CompiledPlan> {
             .insert(key, Rc::clone(&compiled));
         compiled
     })
-}
-
-/// [`compiled_for`] with the three pre-pipeline executor knobs — the
-/// legacy API pin kept for callers that predate [`ExecPolicy`]
-/// (equivalent to [`compiled_for_exec`] with the re-codeleting
-/// stage disabled, matching the schedules this entry point always
-/// produced). Prefer [`compiled_for_exec`].
-pub fn compiled_for_with(
-    plan: &Plan,
-    policy: &FusionPolicy,
-    relayout: &RelayoutPolicy,
-    simd: &SimdPolicy,
-) -> Rc<CompiledPlan> {
-    compiled_for_exec(
-        plan,
-        &ExecPolicy {
-            fusion: *policy,
-            relayout: *relayout,
-            recodelet: RecodeletPolicy::disabled(),
-            simd: *simd,
-            batch: BatchPolicy::disabled(),
-            stream: StreamPolicy::disabled(),
-        },
-    )
 }

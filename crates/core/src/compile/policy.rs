@@ -12,8 +12,11 @@
 //! **API pin > wisdom > environment > default**, with one refinement: a
 //! *disabled* environment/default policy is a kill switch that recorded
 //! wisdom cannot re-enable (`WHT_NO_FUSE=1` must win over a wisdom entry
-//! recorded with fusion on). [`resolve_knob`] implements that rule once
-//! for every knob; `wht_search::Planner` is its production caller.
+//! recorded with fusion on). The API pin is one whole [`ExecPolicy`] —
+//! `wht_search::Planner::with_exec` or
+//! [`compiled_for_exec`](crate::compile::compiled_for_exec) — never a
+//! single stage; below it, [`resolve_knob`] implements the rule once for
+//! every knob, and `wht_search::Planner` is its production caller.
 
 use crate::codelets::SimdPolicy;
 use crate::env;
@@ -566,10 +569,11 @@ impl Default for StreamPolicy {
 ///
 /// ## Where a policy comes from (precedence)
 ///
-/// 1. **API pin** — an explicit policy passed through the API
-///    (`Planner::with_exec`/`with_fusion`/…,
+/// 1. **API pin** — a whole `ExecPolicy` passed through the API
+///    (`Planner::with_exec`,
 ///    [`compiled_for_exec`](crate::compile::compiled_for_exec)) always
-///    wins.
+///    wins, for every stage at once. To change one stage, pin
+///    `ExecPolicy::from_env().with_<stage>(..)`.
 /// 2. **Wisdom** — a tuning recorded with a wisdom entry replays the
 ///    recorder's configuration per size…
 /// 3. **Environment** — …unless the process environment *disables* the
@@ -741,19 +745,16 @@ impl PolicyKnob for StreamPolicy {
     }
 }
 
-/// The one precedence rule for every executor knob (see
-/// [`ExecPolicy`]'s docs): an explicitly **pinned** policy wins
-/// unconditionally; an unpinned but **disabled** policy is a kill switch
-/// that recorded wisdom cannot re-enable; otherwise a **recorded** wisdom
-/// tuning wins; otherwise the policy itself (environment snapshot or
-/// default) applies.
+/// The precedence rule for one unpinned executor knob (see
+/// [`ExecPolicy`]'s docs; an API pin bypasses it for the whole
+/// [`ExecPolicy`]): a **disabled** policy is a kill switch that recorded
+/// wisdom cannot re-enable; otherwise a **recorded** wisdom tuning wins;
+/// otherwise the policy itself (environment snapshot or default) applies.
 ///
-/// `wht_search::Planner` used to hand-roll this three times (fusion,
-/// SIMD, relayout), each copy drifting slightly; every stage — current
-/// and future — now resolves through this single function, and the
-/// property tests in `wht-search` pin the precedence per knob.
-pub fn resolve_knob<P: PolicyKnob>(pinned: bool, policy: P, recorded: Option<P>) -> P {
-    if pinned || !policy.enabled() {
+/// Every stage — current and future — resolves through this single
+/// function, and the tests in `wht-search` pin the precedence per knob.
+pub fn resolve_knob<P: PolicyKnob>(policy: P, recorded: Option<P>) -> P {
+    if !policy.enabled() {
         policy
     } else {
         recorded.unwrap_or(policy)

@@ -142,7 +142,7 @@ fn simd_relabeling_is_bit_identical_and_recorded() {
         let input = signal(n);
         for plan in test_plans(n) {
             for budget in [0usize, 1 << 5, usize::MAX] {
-                let scalar = CompiledPlan::compile_fused(&plan, &FusionPolicy::new(budget));
+                let scalar = CompiledPlan::compile(&plan).fuse(&FusionPolicy::new(budget));
                 let simd = scalar.with_simd(&SimdPolicy::auto());
                 // The relabeling is recorded, validates, and keeps the
                 // factor list...
@@ -228,7 +228,7 @@ fn relayout_rewrites_the_unfusable_tail() {
 fn relayout_policy_gates() {
     let n = 14u32;
     let fused =
-        CompiledPlan::compile_fused(&Plan::iterative(n).unwrap(), &FusionPolicy::new(1 << 6));
+        CompiledPlan::compile(&Plan::iterative(n).unwrap()).fuse(&FusionPolicy::new(1 << 6));
     // Disabled, too-small vectors, short tails, and resident vectors
     // all leave the schedule unchanged.
     assert_eq!(fused.relayout(&RelayoutPolicy::disabled()), fused);
@@ -272,7 +272,8 @@ fn relayout_policy_gates() {
 #[test]
 fn relayout_units_round_trip_through_from_super_passes() {
     let plan = Plan::iterative(12).unwrap();
-    let relaid = CompiledPlan::compile_fused(&plan, &FusionPolicy::new(1 << 5))
+    let relaid = CompiledPlan::compile(&plan)
+        .fuse(&FusionPolicy::new(1 << 5))
         .relayout(&RelayoutPolicy::eager(1 << 8));
     assert!(relaid.has_relayout());
     let rebuilt = CompiledPlan::from_super_passes(12, relaid.super_passes().to_vec()).unwrap();
@@ -327,9 +328,9 @@ fn recodelet_merges_chained_factors_in_head_and_tail() {
     // scratch merge into one small[8] codelet, and the 6-factor fused
     // head into a small[8]-bounded group.
     let n = 14u32;
-    let relaid =
-        CompiledPlan::compile_fused(&Plan::iterative(n).unwrap(), &FusionPolicy::new(1 << 6))
-            .relayout(&RelayoutPolicy::eager(1 << 9));
+    let relaid = CompiledPlan::compile(&Plan::iterative(n).unwrap())
+        .fuse(&FusionPolicy::new(1 << 6))
+        .relayout(&RelayoutPolicy::eager(1 << 9));
     let merged = relaid.recodelet(&uncapped(8));
     assert!(merged.has_recodeleted());
     let tail = merged.super_passes().last().unwrap();
@@ -388,9 +389,9 @@ fn recodelet_respects_the_codelet_cap_and_chains_greedily() {
     // 10 tail factors at max_k = 4: greedy left-to-right merge gives
     // small[4] + small[4] + small[2].
     let n = 16u32;
-    let relaid =
-        CompiledPlan::compile_fused(&Plan::iterative(n).unwrap(), &FusionPolicy::new(1 << 6))
-            .relayout(&RelayoutPolicy::eager(1 << 11));
+    let relaid = CompiledPlan::compile(&Plan::iterative(n).unwrap())
+        .fuse(&FusionPolicy::new(1 << 6))
+        .relayout(&RelayoutPolicy::eager(1 << 11));
     assert_eq!(relaid.super_passes().last().unwrap().parts().len(), 10);
     let merged = relaid.recodelet(&RecodeletPolicy::new(4));
     let tail = merged.super_passes().last().unwrap();
@@ -409,11 +410,9 @@ fn recodelet_respects_the_codelet_cap_and_chains_greedily() {
         .all(|p| p.k <= crate::plan::MAX_LEAF_K));
     // Mixed-radix tails merge too: binary_iterative(16, 2) has k=2
     // factors; its 5-part scratch tail merges under max_k = 8 into 8+2.
-    let blocked = CompiledPlan::compile_fused(
-        &Plan::binary_iterative(n, 2).unwrap(),
-        &FusionPolicy::new(1 << 6),
-    )
-    .relayout(&RelayoutPolicy::eager(1 << 11));
+    let blocked = CompiledPlan::compile(&Plan::binary_iterative(n, 2).unwrap())
+        .fuse(&FusionPolicy::new(1 << 6))
+        .relayout(&RelayoutPolicy::eager(1 << 11));
     let tail_ks: Vec<u32> = blocked
         .super_passes()
         .last()
@@ -453,9 +452,9 @@ fn recodelet_footprint_cap_bounds_strided_merges() {
     // exemption — so the default policy must stop each group at
     // small[8] (8 rows) even though max_k = 4 alone would allow 16.
     // (Compiling touches no data; a 2^24 schedule is cheap.)
-    let relaid =
-        CompiledPlan::compile_fused(&Plan::iterative(24).unwrap(), &FusionPolicy::default())
-            .relayout(&RelayoutPolicy::eager(RelayoutPolicy::DEFAULT_BUDGET_ELEMS));
+    let relaid = CompiledPlan::compile(&Plan::iterative(24).unwrap())
+        .fuse(&FusionPolicy::default())
+        .relayout(&RelayoutPolicy::eager(RelayoutPolicy::DEFAULT_BUDGET_ELEMS));
     let tail = relaid.super_passes().last().unwrap();
     assert_eq!(tail.parts().len(), 7);
     assert_eq!(
@@ -515,9 +514,9 @@ fn recodelet_footprint_cap_bounds_strided_merges() {
 #[test]
 fn recodelet_gates_and_idempotence() {
     let n = 14u32;
-    let relaid =
-        CompiledPlan::compile_fused(&Plan::iterative(n).unwrap(), &FusionPolicy::new(1 << 6))
-            .relayout(&RelayoutPolicy::eager(1 << 9));
+    let relaid = CompiledPlan::compile(&Plan::iterative(n).unwrap())
+        .fuse(&FusionPolicy::new(1 << 6))
+        .relayout(&RelayoutPolicy::eager(1 << 9));
     // Disabled policies and single-factor-only schedules are no-ops.
     assert_eq!(relaid.recodelet(&RecodeletPolicy::disabled()), relaid);
     assert_eq!(relaid.recodelet(&RecodeletPolicy::new(1)), relaid);
@@ -529,7 +528,7 @@ fn recodelet_gates_and_idempotence() {
     );
     // A fused head merges even without a relayout unit.
     let fused_only =
-        CompiledPlan::compile_fused(&Plan::iterative(n).unwrap(), &FusionPolicy::new(1 << 6));
+        CompiledPlan::compile(&Plan::iterative(n).unwrap()).fuse(&FusionPolicy::new(1 << 6));
     let head_merged = fused_only.recodelet(&RecodeletPolicy::default());
     assert!(head_merged.has_recodeleted() && !head_merged.has_relayout());
     assert!(head_merged.super_passes()[0].provenance().recodeleted > 0);
@@ -653,9 +652,9 @@ fn relayout_traverse_reports_scratch_addresses_and_copies() {
         }
     }
     let n = 10u32;
-    let relaid =
-        CompiledPlan::compile_fused(&Plan::iterative(n).unwrap(), &FusionPolicy::new(1 << 5))
-            .relayout(&RelayoutPolicy::eager(1 << 7));
+    let relaid = CompiledPlan::compile(&Plan::iterative(n).unwrap())
+        .fuse(&FusionPolicy::new(1 << 5))
+        .relayout(&RelayoutPolicy::eager(1 << 7));
     assert!(relaid.has_relayout());
     let blocks = relaid.super_passes().last().unwrap().tiles();
     let mut w = Watch::default();
@@ -701,7 +700,7 @@ fn traverse_visits_same_leaf_multiset_as_interpreter() {
         FusionPolicy::new(64),
         FusionPolicy::unbounded(),
     ] {
-        let compiled = CompiledPlan::compile_fused(&plan, &policy);
+        let compiled = CompiledPlan::compile(&plan).fuse(&policy);
         let mut flat: Vec<(u32, usize, usize)> = Vec::new();
         compiled.traverse(&mut Collect(&mut flat));
         assert_eq!(flat.len(), interp.len());
@@ -759,42 +758,21 @@ fn cached_compile_returns_identical_schedule() {
     // against schedules built under the same env SimdPolicy, so the
     // test holds on every CI leg.)
     let env_simd = SimdPolicy::from_env();
-    let unfused = compiled_for_with(
-        &plan,
-        &FusionPolicy::disabled(),
-        &RelayoutPolicy::disabled(),
-        &env_simd,
-    );
+    let base = ExecPolicy::all_disabled().with_simd(env_simd);
+    let unfused = compiled_for_exec(&plan, &base);
     assert_eq!(*unfused, CompiledPlan::compile(&plan).with_simd(&env_simd));
-    let fused = compiled_for_with(
-        &plan,
-        &FusionPolicy::new(1 << 8),
-        &RelayoutPolicy::disabled(),
-        &env_simd,
-    );
+    let fused_exec = base.with_fusion(FusionPolicy::new(1 << 8));
+    let fused = compiled_for_exec(&plan, &fused_exec);
     assert_eq!(
         *fused,
-        CompiledPlan::compile_with(
-            &plan,
-            &FusionPolicy::new(1 << 8),
-            &RelayoutPolicy::disabled(),
-            &env_simd
-        )
+        CompiledPlan::compile(&plan)
+            .fuse(&FusionPolicy::new(1 << 8))
+            .with_simd(&env_simd)
     );
     // The kernel backend is part of the cache key too.
-    let scalar = compiled_for_with(
-        &plan,
-        &FusionPolicy::new(1 << 8),
-        &RelayoutPolicy::disabled(),
-        &SimdPolicy::disabled(),
-    );
+    let scalar = compiled_for_exec(&plan, &fused_exec.with_simd(SimdPolicy::disabled()));
     assert!(!scalar.is_simd());
-    let lanes = compiled_for_with(
-        &plan,
-        &FusionPolicy::new(1 << 8),
-        &RelayoutPolicy::disabled(),
-        &SimdPolicy::auto(),
-    );
+    let lanes = compiled_for_exec(&plan, &fused_exec.with_simd(SimdPolicy::auto()));
     assert!(lanes.is_simd());
     assert_eq!(scalar.passes(), lanes.passes());
     // An explicit ExecPolicy pin is served and cached like any other
@@ -845,7 +823,7 @@ fn tile_pass_restriction_is_consistent_with_apply() {
     // Drive a fused schedule tile by tile through the public
     // `tile_pass` API and compare against the built-in executor.
     let plan = Plan::iterative(9).unwrap();
-    let fused = CompiledPlan::compile_fused(&plan, &FusionPolicy::new(1 << 4));
+    let fused = CompiledPlan::compile(&plan).fuse(&FusionPolicy::new(1 << 4));
     assert!(fused.is_fused());
     let input = signal(9);
     let mut whole = input.clone();
@@ -869,7 +847,7 @@ fn tile_pass_restriction_is_consistent_with_apply() {
 #[test]
 fn from_super_passes_round_trips_valid_schedules() {
     let plan = Plan::balanced(10, 3).unwrap();
-    let fused = CompiledPlan::compile_fused(&plan, &FusionPolicy::new(1 << 5));
+    let fused = CompiledPlan::compile(&plan).fuse(&FusionPolicy::new(1 << 5));
     let rebuilt = CompiledPlan::from_super_passes(10, fused.super_passes().to_vec()).unwrap();
     assert_eq!(rebuilt.super_passes(), fused.super_passes());
     assert_eq!(rebuilt.passes(), fused.passes());
@@ -888,11 +866,11 @@ fn budget_sweeps_stay_correct_across_cache_eviction() {
     let plan = Plan::iterative(10).unwrap();
     let reference = CompiledPlan::compile(&plan);
     for b in 0..CACHE_CAP + 8 {
-        let c = compiled_for_with(
+        let c = compiled_for_exec(
             &plan,
-            &FusionPolicy::new(b + 2),
-            &RelayoutPolicy::disabled(),
-            &SimdPolicy::from_env(),
+            &ExecPolicy::all_disabled()
+                .with_fusion(FusionPolicy::new(b + 2))
+                .with_simd(SimdPolicy::from_env()),
         );
         assert_eq!(c.passes(), reference.passes(), "budget {}", b + 2);
     }
@@ -900,22 +878,20 @@ fn budget_sweeps_stay_correct_across_cache_eviction() {
 
 #[test]
 fn resolve_knob_precedence_truth_table_for_every_knob() {
-    // The one precedence rule, pinned per knob type: pin > (disabled
-    // default as kill switch) > wisdom > env/default. `policy` plays the
+    // The precedence rule below an API pin (a pin bypasses it for the
+    // whole ExecPolicy; `wht_search` tests that per knob): disabled
+    // default as kill switch > wisdom > env/default. `policy` plays the
     // role of the env/default layer; `recorded` is the wisdom layer.
     fn check<P: PolicyKnob + PartialEq + std::fmt::Debug>(enabled: P, disabled: P, recorded: P) {
-        // 1. A pin wins over everything, enabled or not.
-        assert_eq!(resolve_knob(true, enabled, Some(recorded)), enabled);
-        assert_eq!(resolve_knob(true, disabled, Some(recorded)), disabled);
-        // 2. Unpinned + disabled default = kill switch: wisdom cannot
-        //    re-enable it.
-        assert_eq!(resolve_knob(false, disabled, Some(recorded)), disabled);
-        assert_eq!(resolve_knob(false, disabled, Some(enabled)), disabled);
-        // 3. Unpinned + enabled default: recorded wisdom wins...
-        assert_eq!(resolve_knob(false, enabled, Some(recorded)), recorded);
-        // 4. ...and absent wisdom, the default applies.
-        assert_eq!(resolve_knob(false, enabled, None), enabled);
-        assert_eq!(resolve_knob(false, disabled, None), disabled);
+        // 1. A disabled default is a kill switch: wisdom cannot re-enable
+        //    it.
+        assert_eq!(resolve_knob(disabled, Some(recorded)), disabled);
+        assert_eq!(resolve_knob(disabled, Some(enabled)), disabled);
+        // 2. An enabled default: recorded wisdom wins...
+        assert_eq!(resolve_knob(enabled, Some(recorded)), recorded);
+        // 3. ...and absent wisdom, the default applies.
+        assert_eq!(resolve_knob(enabled, None), enabled);
+        assert_eq!(resolve_knob(disabled, None), disabled);
     }
     check(
         FusionPolicy::new(1 << 10),
@@ -942,10 +918,15 @@ fn resolve_knob_precedence_truth_table_for_every_knob() {
         BatchPolicy::disabled(),
         BatchPolicy::new(64),
     );
+    check(
+        StreamPolicy::eager(),
+        StreamPolicy::disabled(),
+        StreamPolicy::new(1 << 20),
+    );
     // A recorded *disabled* choice (e.g. wisdom tuned with fusion off)
     // replays as disabled under an enabled, unpinned default.
     assert_eq!(
-        resolve_knob(false, FusionPolicy::default(), Some(FusionPolicy::new(0))),
+        resolve_knob(FusionPolicy::default(), Some(FusionPolicy::new(0))),
         FusionPolicy::new(0)
     );
 }

@@ -8,36 +8,56 @@
 //! the regression this file pins down.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 use wht_core::ddl::DdlConfig;
 use wht_core::{
     apply_plan_ddl_with_scratch, BatchPolicy, CompiledPlan, ExecPolicy, FusionPolicy, Plan,
     RelayoutPolicy, Scalar, SimdPolicy,
 };
 
-/// System allocator wrapper that counts every allocation (including
-/// reallocs, which acquire new memory too). Deallocations are free.
+/// System allocator wrapper that counts the allocations (including
+/// reallocs, which acquire new memory too) of a thread while that thread
+/// is inside [`allocations_during`]. Deallocations are free. The count is
+/// thread-local, so the test harness and concurrently running tests
+/// allocating on their own threads never show up in it.
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// `Some(count)` while this thread's allocations are being counted.
+    static ALLOCATIONS: Cell<Option<usize>> = const { Cell::new(None) };
+}
 
-// SAFETY: pure pass-through to `System` plus a side-effect-free atomic
-// counter bump — every GlobalAlloc contract obligation is `System`'s.
+fn count_allocation() {
+    // `try_with`: allocations during thread teardown, after the slot is
+    // gone, are simply not counted.
+    let _ = ALLOCATIONS.try_with(|c| c.set(c.get().map(|n| n + 1)));
+}
+
+/// Heap allocations the calling thread makes while running `f`.
+fn allocations_during(f: impl FnOnce()) -> usize {
+    ALLOCATIONS.with(|c| c.set(Some(0)));
+    f();
+    ALLOCATIONS.with(|c| c.replace(None)).expect("armed above")
+}
+
+// SAFETY: pure pass-through to `System` plus a side-effect-free
+// thread-local counter bump (a const-initialized `Cell`, which never
+// allocates) — every GlobalAlloc contract obligation is `System`'s.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        count_allocation();
         // SAFETY: forwarded caller contract.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        count_allocation();
         // SAFETY: forwarded caller contract.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        count_allocation();
         // SAFETY: forwarded caller contract.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -76,15 +96,11 @@ fn ddl_with_scratch_does_not_allocate_after_warmup() {
 
     // Warm replays: zero heap traffic, still correct.
     let mut y = signal(n);
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
-    apply_plan_ddl_with_scratch(&plan, &mut y, cfg, &mut scratch).unwrap();
-    apply_plan_ddl_with_scratch(&plan, &mut y, cfg, &mut scratch).unwrap();
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
-    assert_eq!(
-        after - before,
-        0,
-        "warm DDL replays must not touch the heap"
-    );
+    let allocations = allocations_during(|| {
+        apply_plan_ddl_with_scratch(&plan, &mut y, cfg, &mut scratch).unwrap();
+        apply_plan_ddl_with_scratch(&plan, &mut y, cfg, &mut scratch).unwrap();
+    });
+    assert_eq!(allocations, 0, "warm DDL replays must not touch the heap");
 
     // A tighter threshold (more gathers) re-sizes at most once, then is
     // allocation-free again.
@@ -94,10 +110,10 @@ fn ddl_with_scratch_does_not_allocate_after_warmup() {
     let mut z = signal(n);
     apply_plan_ddl_with_scratch(&plan, &mut z, tight, &mut scratch).unwrap();
     let mut w = signal(n);
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
-    apply_plan_ddl_with_scratch(&plan, &mut w, tight, &mut scratch).unwrap();
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
-    assert_eq!(after - before, 0);
+    let allocations = allocations_during(|| {
+        apply_plan_ddl_with_scratch(&plan, &mut w, tight, &mut scratch).unwrap();
+    });
+    assert_eq!(allocations, 0);
 }
 
 #[test]
@@ -114,13 +130,12 @@ fn compiled_relayout_with_scratch_does_not_allocate_after_warmup() {
     assert_eq!(scratch.len(), relaid.scratch_elems());
 
     let mut y = signal(n);
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
-    relaid.apply_with_scratch(&mut y, &mut scratch).unwrap();
-    relaid.apply_with_scratch(&mut y, &mut scratch).unwrap();
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let allocations = allocations_during(|| {
+        relaid.apply_with_scratch(&mut y, &mut scratch).unwrap();
+        relaid.apply_with_scratch(&mut y, &mut scratch).unwrap();
+    });
     assert_eq!(
-        after - before,
-        0,
+        allocations, 0,
         "warm relayout replays must not touch the heap"
     );
 }
@@ -151,23 +166,22 @@ fn apply_batch_with_scratch_does_not_allocate_after_warmup() {
         .apply_batch_with_scratch(&mut x, rows, &mut scratch)
         .unwrap();
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
-    compiled
-        .apply_batch_with_scratch(&mut x, rows, &mut scratch)
-        .unwrap();
-    compiled
-        .apply_batch_with_scratch(&mut x, rows, &mut scratch)
-        .unwrap();
-    // A smaller batch (below the engagement threshold, so per-row replay)
-    // must reuse the same scratch too.
-    let small_rows = 2;
-    compiled
-        .apply_batch_with_scratch(&mut x[..small_rows * size], small_rows, &mut scratch)
-        .unwrap();
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let allocations = allocations_during(|| {
+        compiled
+            .apply_batch_with_scratch(&mut x, rows, &mut scratch)
+            .unwrap();
+        compiled
+            .apply_batch_with_scratch(&mut x, rows, &mut scratch)
+            .unwrap();
+        // A smaller batch (below the engagement threshold, so per-row
+        // replay) must reuse the same scratch too.
+        let small_rows = 2;
+        compiled
+            .apply_batch_with_scratch(&mut x[..small_rows * size], small_rows, &mut scratch)
+            .unwrap();
+    });
     assert_eq!(
-        after - before,
-        0,
+        allocations, 0,
         "warm batched replays must not touch the heap"
     );
 }

@@ -29,7 +29,7 @@ fn well_formed_hand_built_schedule_is_accepted() {
     let plan = CompiledPlan::from_super_passes(n, vec![fused_head, tail1, tail2]).unwrap();
     assert!(plan.validate().is_ok());
     // And it computes the right transform: it is exactly iterative(4) fused.
-    let want = CompiledPlan::compile_fused(&Plan::iterative(n).unwrap(), &FusionPolicy::new(4));
+    let want = CompiledPlan::compile(&Plan::iterative(n).unwrap()).fuse(&FusionPolicy::new(4));
     assert_eq!(plan.super_passes(), want.super_passes());
     let mut x: Vec<i64> = (0..16).map(|j| (j * 7 % 13) - 6).collect();
     let mut y = x.clone();
@@ -226,7 +226,8 @@ fn well_formed_hand_built_relayout_schedule_is_accepted() {
     let plan = CompiledPlan::from_super_passes(n, vec![head, tail]).unwrap();
     assert!(plan.validate().is_ok());
     // It computes exactly what the builder pipeline builds.
-    let want = CompiledPlan::compile_fused(&Plan::iterative(n).unwrap(), &FusionPolicy::new(16))
+    let want = CompiledPlan::compile(&Plan::iterative(n).unwrap())
+        .fuse(&FusionPolicy::new(16))
         .relayout(&wht_core::RelayoutPolicy {
             min_passes: 2, // the hand-built tail is exactly two factors
             ..wht_core::RelayoutPolicy::eager(32)

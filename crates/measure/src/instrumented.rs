@@ -226,7 +226,7 @@ mod tests {
         use wht_core::{FusionPolicy, RelayoutPolicy};
         let n = 14u32;
         let plan = Plan::iterative(n).unwrap();
-        let fused = CompiledPlan::compile_fused(&plan, &FusionPolicy::new(1 << 6));
+        let fused = CompiledPlan::compile(&plan).fuse(&FusionPolicy::new(1 << 6));
         let relaid = fused.relayout(&RelayoutPolicy::eager(1 << 9));
         assert!(relaid.has_relayout());
         let f = compiled_op_counts(&fused);

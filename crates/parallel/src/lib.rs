@@ -18,12 +18,10 @@
 //!   unit of the plan's compiled schedule distributed over workers
 //!   through stable per-worker claim ranges with wrap-around stealing
 //!   (the units are pairwise write-disjoint, so the distribution is
-//!   race-free and bit-identical to sequential replay). Crews that fit
-//!   the global pool dispatch with zero spawn/join; larger crews fall
-//!   back to the scoped spawn-per-call engine, kept public as
-//!   [`par_apply_compiled_scoped`] / [`par_apply_batch_scoped`] (and as
-//!   the overhead baseline the benchmark quantifies the pool against).
-//!   Explicit pools go through [`par_apply_compiled_on`] /
+//!   race-free and bit-identical to sequential replay). One dispatcher
+//!   runs every crew: the global pool, with zero spawn/join per call; a
+//!   crew larger than the pool is capped at the pool's size. Explicit
+//!   pools go through [`par_apply_compiled_on`] /
 //!   [`par_apply_batch_on`].
 //! * [`sweep`] — a parallel measurement driver ([`measure_sweep`]) so that
 //!   10,000-algorithm experiment batches finish in minutes.
@@ -47,8 +45,8 @@ pub mod pool;
 pub mod sweep;
 
 pub use engine::{
-    par_apply_batch, par_apply_batch_on, par_apply_batch_scoped, par_apply_compiled,
-    par_apply_compiled_on, par_apply_compiled_scoped, par_apply_plan, Threads,
+    par_apply_batch, par_apply_batch_on, par_apply_compiled, par_apply_compiled_on, par_apply_plan,
+    Threads,
 };
 pub use pool::{PoolStats, Topology, WorkerPool};
 pub use sweep::measure_sweep;

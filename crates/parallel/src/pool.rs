@@ -1,13 +1,12 @@
 //! Persistent worker pool with topology-aware placement.
 //!
-//! The scoped engine ([`crate::engine::par_apply_compiled_scoped`])
-//! spawns and joins its whole crew on **every** call — fine for one
-//! n = 26 transform, ruinous for a replay service dispatching thousands
-//! of LLC-resident transforms per second, where thread start-up dwarfs
-//! the work itself. This module keeps one long-lived crew
-//! ([`WorkerPool`]) parked on a condvar and dispatches each compiled
-//! schedule to it as a single generation-stamped job: a dispatch is one
-//! mutex acquisition and one broadcast, not `k` clone/spawn/join cycles.
+//! Spawning and joining a crew on **every** call is fine for one n = 26
+//! transform but ruinous for a replay service dispatching thousands of
+//! LLC-resident transforms per second, where thread start-up dwarfs the
+//! work itself. This module keeps one long-lived crew ([`WorkerPool`])
+//! parked on a condvar and dispatches each compiled schedule to it as a
+//! single generation-stamped job: a dispatch is one mutex acquisition
+//! and one broadcast, not `k` spawn/join cycles.
 //!
 //! ## Dispatch protocol
 //!
@@ -569,6 +568,43 @@ pub(crate) fn scratch_words<T: Scalar>(arena: &mut Vec<u64>, elems: usize) -> &m
     unsafe { std::slice::from_raw_parts_mut(arena.as_mut_ptr().cast::<T>(), elems) }
 }
 
+/// Live worker threads of every [`WorkerPool`] in this process: threads
+/// whose name (`/proc/self/task/*/comm`) starts with `wht-pool-`, so the
+/// threads of the test harness and of non-pool tests never count.
+#[cfg(all(test, target_os = "linux"))]
+pub(crate) fn live_pool_threads() -> usize {
+    std::fs::read_dir("/proc/self/task")
+        .unwrap()
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .filter(|comm| comm.starts_with("wht-pool-"))
+        .count()
+}
+
+/// Whether the test `name` (its path as the harness prints it) may read
+/// process-wide counters that concurrently running tests also move —
+/// live pool threads, the global pool's job count. In a run filtered to
+/// exactly this test it returns `true` and the caller measures.
+/// Otherwise it reruns the test that way in a fresh process of this test
+/// binary, asserts that run passed, and returns `false`.
+#[cfg(all(test, target_os = "linux"))]
+pub(crate) fn measure_alone(name: &str) -> bool {
+    let args: Vec<String> = std::env::args().collect();
+    if args.iter().any(|a| a == "--exact") && args.iter().any(|a| a == name) {
+        return true;
+    }
+    let run = std::process::Command::new(std::env::current_exe().unwrap())
+        .args([name, "--exact", "--test-threads=1"])
+        .output()
+        .unwrap();
+    assert!(
+        run.status.success(),
+        "{name}, run alone:\n{}{}",
+        String::from_utf8_lossy(&run.stdout),
+        String::from_utf8_lossy(&run.stderr)
+    );
+    false
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -673,28 +709,26 @@ mod tests {
         assert_eq!(err, WhtError::WorkerPanicked { workers: 2 });
     }
 
-    #[cfg(target_os = "linux")]
-    fn live_threads() -> usize {
-        std::fs::read_dir("/proc/self/task").unwrap().count()
-    }
-
     #[test]
     #[cfg(target_os = "linux")]
     fn drop_joins_every_worker_and_calls_leak_no_threads() {
-        let baseline = live_threads();
+        if !measure_alone("pool::tests::drop_joins_every_worker_and_calls_leak_no_threads") {
+            return;
+        }
+        let baseline = live_pool_threads();
         {
             let pool = WorkerPool::new(3);
             for _ in 0..1000 {
                 pool.run(&|_, _| {}).unwrap();
             }
             assert_eq!(
-                live_threads(),
+                live_pool_threads(),
                 baseline + 3,
                 "1000 dispatches must not spawn extra threads"
             );
         }
         // Drop joined the crew.
-        assert_eq!(live_threads(), baseline);
+        assert_eq!(live_pool_threads(), baseline);
     }
 
     #[test]

@@ -5,19 +5,20 @@
 
 use proptest::prelude::*;
 use std::sync::OnceLock;
-use wht_core::testkit::{random_plan, random_signal};
+use wht_core::testkit::{random_plan, random_signal, reference_wht};
 use wht_core::{
     apply_plan, apply_plan_recursive, BatchPolicy, CompiledPlan, ExecPolicy, FusionPolicy,
     RecodeletPolicy, RelayoutPolicy, Scalar, SimdPolicy, StreamPolicy,
 };
 use wht_parallel::{
-    par_apply_batch_on, par_apply_batch_scoped, par_apply_compiled, par_apply_compiled_on,
-    par_apply_compiled_scoped, par_apply_plan, Threads, WorkerPool,
+    par_apply_batch_on, par_apply_compiled_on, par_apply_plan, Threads, WorkerPool,
 };
 
 /// One shared 4-worker pool for the whole proptest binary: real pools are
 /// process-lived, and sharing it across hundreds of cases also stresses
 /// slot reuse and arena growth far harder than a fresh pool per case.
+/// Being explicit, it keeps crews of 3 and 4 covered on hosts (or
+/// `WHT_THREADS` settings) whose global pool is smaller.
 fn pool() -> &'static WorkerPool {
     static POOL: OnceLock<WorkerPool> = OnceLock::new();
     POOL.get_or_init(|| WorkerPool::new(4))
@@ -116,7 +117,7 @@ proptest! {
             compiled.apply(&mut flat).unwrap();
             assert_eq!(flat, rec, "compiled vs recursive for {plan}");
             let mut par = input;
-            par_apply_compiled(compiled, &mut par, Threads(threads)).unwrap();
+            par_apply_compiled_on(pool(), compiled, &mut par, Threads(threads)).unwrap();
             assert_eq!(par, rec, "parallel vs recursive for {plan} ({threads} threads)");
         }
         let plan = random_plan(n, seed);
@@ -140,21 +141,22 @@ proptest! {
     ) {
         let budget = if budget_bits == 0 { 0 } else { 1usize << budget_bits };
         let plan = random_plan(n, seed);
-        let fused = CompiledPlan::compile_fused(&plan, &FusionPolicy::new(budget));
+        let fused = CompiledPlan::compile(&plan).fuse(&FusionPolicy::new(budget));
         let input: Vec<i64> = random_signal(plan.size(), seed);
         let mut seq = input.clone();
         fused.apply(&mut seq).unwrap();
         let mut par = input;
-        par_apply_compiled(&fused, &mut par, Threads(threads)).unwrap();
+        par_apply_compiled_on(pool(), &fused, &mut par, Threads(threads)).unwrap();
         prop_assert_eq!(par, seq, "plan {}, budget {}", plan, budget);
     }
 
-    /// The three dispatch paths — persistent pool, scoped spawn-per-call
-    /// crew, and the sequential replay — agree bit for bit on random
-    /// plans lowered through random executor policies (fusion, relayout,
-    /// re-codeleting, SIMD, streaming), for all four scalar types.
+    /// The pool, the sequential replay, and `reference_wht` agree bit for
+    /// bit on random plans lowered through random executor policies
+    /// (fusion, relayout, re-codeleting, SIMD, streaming), for all four
+    /// scalar types. (The signals are small integers, so every float
+    /// transform here is exact.)
     #[test]
-    fn pooled_scoped_and_sequential_agree_on_random_lowered_schedules(
+    fn pooled_sequential_and_reference_agree_on_random_lowered_schedules(
         n in 1u32..=13,
         seed in any::<u64>(),
         threads in 2usize..=8,
@@ -167,12 +169,10 @@ proptest! {
             let input: Vec<T> = random_signal(lowered.size(), seed);
             let mut seq = input.clone();
             lowered.apply(&mut seq).unwrap();
-            let mut pooled = input.clone();
+            assert_eq!(seq, reference_wht(&input), "sequential vs reference");
+            let mut pooled = input;
             par_apply_compiled_on(pool(), lowered, &mut pooled, Threads(threads)).unwrap();
             assert_eq!(pooled, seq, "pooled vs sequential ({threads} threads)");
-            let mut scoped = input;
-            par_apply_compiled_scoped(lowered, &mut scoped, Threads(threads)).unwrap();
-            assert_eq!(scoped, seq, "scoped vs sequential ({threads} threads)");
         }
         let plan = random_plan(n, seed);
         // Relayout block budgets below 2^6 are degenerate; fold the low
@@ -186,12 +186,12 @@ proptest! {
         check::<i32>(&lowered, seed, threads);
     }
 
-    /// Pooled and scoped batched execution agree bit for bit with the
-    /// sequential batch replay on random row counts (every chunking
-    /// regime: sub-lane-group, exact multiples, ragged remainders),
-    /// with and without streaming.
+    /// Pooled batched execution agrees bit for bit with the sequential
+    /// batch replay and with `reference_wht` per row on random row counts
+    /// (every chunking regime: sub-lane-group, exact multiples, ragged
+    /// remainders), with and without streaming.
     #[test]
-    fn pooled_and_scoped_batches_agree_with_sequential(
+    fn pooled_batches_agree_with_sequential_and_reference(
         n in 1u32..=8,
         seed in any::<u64>(),
         rows in 1usize..=80,
@@ -199,15 +199,16 @@ proptest! {
         stream in any::<bool>(),
     ) {
         fn check<T: Scalar>(lowered: &CompiledPlan, rows: usize, seed: u64, threads: usize) {
-            let input: Vec<T> = random_signal(lowered.size() * rows, seed);
+            let size = lowered.size();
+            let input: Vec<T> = random_signal(size * rows, seed);
             let mut seq = input.clone();
             lowered.apply_batch(&mut seq, rows).unwrap();
-            let mut pooled = input.clone();
+            for (row, want) in input.chunks_exact(size).zip(seq.chunks_exact(size)) {
+                assert_eq!(reference_wht(row), want, "sequential batch row vs reference");
+            }
+            let mut pooled = input;
             par_apply_batch_on(pool(), lowered, &mut pooled, rows, Threads(threads)).unwrap();
             assert_eq!(pooled, seq, "pooled batch ({rows} rows, {threads} threads)");
-            let mut scoped = input;
-            par_apply_batch_scoped(lowered, &mut scoped, rows, Threads(threads)).unwrap();
-            assert_eq!(scoped, seq, "scoped batch ({rows} rows, {threads} threads)");
         }
         let plan = random_plan(n, seed);
         let policy = policy_point(4, 0, false, true, 8, stream);

@@ -7,10 +7,7 @@
 
 use serde::{Deserialize, Serialize};
 use wht_cachesim::Hierarchy;
-use wht_core::{
-    lane_width, BatchPolicy, CompiledPlan, ExecPolicy, FusionPolicy, Plan, RecodeletPolicy,
-    RelayoutPolicy, SimdPolicy, StreamPolicy, WhtError,
-};
+use wht_core::{lane_width, CompiledPlan, ExecPolicy, FusionPolicy, Plan, WhtError};
 use wht_measure::{simulated_cycles, time_plan, SimMachine, TimingConfig};
 use wht_models::{analytic_misses, instruction_count, op_counts, CostModel, ModelCache};
 
@@ -524,42 +521,16 @@ impl FusedTrafficCost {
         self.batch_rows = Some(rows);
         self
     }
-
-    /// Cost under an explicit fusion policy + kernel backend, with the
-    /// default relayout policy and re-codeleting
-    /// ([`FusedTrafficCost::with_exec`] pins the full configuration).
-    pub fn with_backends(policy: FusionPolicy, simd: SimdPolicy) -> Self {
-        FusedTrafficCost::with_executor(policy, RelayoutPolicy::default(), simd)
-    }
-
-    /// Cost under the three pre-pipeline executor knobs: fusion policy,
-    /// tail-relayout policy, and kernel backend (re-codeleting at
-    /// its default).
-    pub fn with_executor(policy: FusionPolicy, relayout: RelayoutPolicy, simd: SimdPolicy) -> Self {
-        FusedTrafficCost::with_exec(ExecPolicy {
-            fusion: policy,
-            relayout,
-            recodelet: RecodeletPolicy::default(),
-            simd,
-            batch: BatchPolicy::default(),
-            stream: StreamPolicy::default(),
-        })
-    }
-
-    /// Explicit fusion policy with the process-default remaining stages
-    /// (lane kernels unless `WHT_NO_SIMD=1`, tail relayout per
-    /// `WHT_NO_RELAYOUT` / `WHT_RELAYOUT_THRESHOLD`, re-codeleting per
-    /// `WHT_NO_RECODELET`) — the env-aware constructor, so a
-    /// default-built cost model ranks plans for the executor this
-    /// process actually runs.
-    pub fn with_policy(policy: FusionPolicy) -> Self {
-        FusedTrafficCost::with_exec(ExecPolicy::from_env().with_fusion(policy))
-    }
 }
 
+/// The process-default executor (lane kernels unless `WHT_NO_SIMD=1`,
+/// tail relayout per `WHT_NO_RELAYOUT` / `WHT_RELAYOUT_THRESHOLD`,
+/// re-codeleting per `WHT_NO_RECODELET`, …) with fusion at its default
+/// budget — so a default-built cost model ranks plans for the executor
+/// this process actually runs.
 impl Default for FusedTrafficCost {
     fn default() -> Self {
-        FusedTrafficCost::with_policy(FusionPolicy::default())
+        FusedTrafficCost::with_exec(ExecPolicy::from_env().with_fusion(FusionPolicy::default()))
     }
 }
 
@@ -790,6 +761,7 @@ impl PlanCost for WallClockCost {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wht_core::{BatchPolicy, RecodeletPolicy, RelayoutPolicy, SimdPolicy};
 
     #[test]
     fn model_backends_are_deterministic() {
@@ -812,7 +784,9 @@ mod tests {
         // the schedule fuses.
         let plan = Plan::iterative(18).unwrap();
         let mut on = FusedTrafficCost::default();
-        let mut off = FusedTrafficCost::with_policy(FusionPolicy::disabled());
+        let mut off = FusedTrafficCost::with_exec(
+            ExecPolicy::from_env().with_fusion(FusionPolicy::disabled()),
+        );
         assert!(on.cost(&plan).unwrap() < off.cost(&plan).unwrap());
         // An unbounded budget makes one vector-sized tile, which cannot be
         // cache-resident: the model must charge it the unfused traffic,
@@ -840,9 +814,10 @@ mod tests {
     #[test]
     fn fused_traffic_learns_the_vector_width() {
         let plan = Plan::iterative(18).unwrap();
-        let policy = FusionPolicy::default();
-        let mut simd = FusedTrafficCost::with_backends(policy, SimdPolicy::auto());
-        let mut scalar = FusedTrafficCost::with_backends(policy, SimdPolicy::disabled());
+        let mut simd =
+            FusedTrafficCost::with_exec(ExecPolicy::default().with_simd(SimdPolicy::auto()));
+        let mut scalar =
+            FusedTrafficCost::with_exec(ExecPolicy::default().with_simd(SimdPolicy::disabled()));
         assert_eq!(simd.simd_lanes, wht_core::lane_width::<f64>());
         assert_eq!(scalar.simd_lanes, 1);
         // The lane backend retires the leaf work W columns at a time, so
@@ -870,8 +845,12 @@ mod tests {
                     .with_recodelet(RecodeletPolicy::disabled()),
             )
         };
-        let c_simd_rc = no_rc(policy, SimdPolicy::auto()).cost(&plan).unwrap();
-        let c_scalar_rc = no_rc(policy, SimdPolicy::disabled()).cost(&plan).unwrap();
+        let c_simd_rc = no_rc(FusionPolicy::default(), SimdPolicy::auto())
+            .cost(&plan)
+            .unwrap();
+        let c_scalar_rc = no_rc(FusionPolicy::default(), SimdPolicy::disabled())
+            .cost(&plan)
+            .unwrap();
         let simd_ratio = no_rc(FusionPolicy::disabled(), SimdPolicy::auto())
             .cost(&plan)
             .unwrap()
@@ -936,7 +915,8 @@ mod tests {
         let a = in_place.cost(&plan19).unwrap();
         let b = relaid.cost(&plan19).unwrap();
         assert!((a - b).abs() < 1e-6, "{a} vs {b}");
-        assert!(!CompiledPlan::compile_fused(&plan19, &fusion)
+        assert!(!CompiledPlan::compile(&plan19)
+            .fuse(&fusion)
             .relayout(&RelayoutPolicy::eager(RelayoutPolicy::DEFAULT_BUDGET_ELEMS))
             .has_relayout());
     }

@@ -28,16 +28,17 @@
 //!
 //! ## How a policy is resolved
 //!
-//! Every executor knob resolves through one rule —
-//! [`wht_core::resolve_knob`], **API pin > wisdom > environment >
-//! default** — exactly once per compiled size:
+//! Every executor knob resolves through one rule — **API pin > wisdom >
+//! environment > default** — exactly once per compiled size:
 //!
-//! - `Planner::with_*` (or [`Planner::with_exec`]) **pins** a policy: it
-//!   beats recorded wisdom, including this planner's own earlier
-//!   searches.
-//! - An unpinned but *disabled* policy (what a `WHT_NO_*` kill switch
-//!   produces at construction) also beats wisdom: imported tuning must
-//!   never re-enable a stage the process opted out of.
+//! - [`Planner::with_exec`] **pins** the whole [`ExecPolicy`]: it beats
+//!   recorded wisdom for every stage, including this planner's own
+//!   earlier searches. To change one stage, pin
+//!   `ExecPolicy::from_env().with_<stage>(..)`.
+//! - Unpinned, each knob resolves through [`wht_core::resolve_knob`]: a
+//!   *disabled* policy (what a `WHT_NO_*` kill switch produces at
+//!   construction) beats wisdom, since imported tuning must never
+//!   re-enable a stage the process opted out of.
 //! - Otherwise a recorded [`Tuning`] replays the recorder's
 //!   configuration, and absent any record the planner's environment
 //!   snapshot / defaults apply.
@@ -304,56 +305,6 @@ impl Wisdom {
         Some(self.entries.get(&n)?.get(backend)?.tuning)
     }
 
-    /// Tile budget (elements) recorded with the `(n, backend)` entry:
-    /// `Some(0)` means the recorder had fusion off, `None` means no
-    /// choice was recorded (or no entry exists) and the reader's default
-    /// policy applies.
-    pub fn fuse_budget(&self, n: u32, backend: &str) -> Option<usize> {
-        self.tuning(n, backend)?
-            .fuse_budget
-            .map(|b| usize::try_from(b).unwrap_or(usize::MAX))
-    }
-
-    /// Kernel backend recorded with the `(n, backend)` entry:
-    /// `Some(true)` means the recorder tuned with the SIMD lane kernels,
-    /// `Some(false)` with the scalar kernels, `None` means no choice was
-    /// recorded (or no entry exists) and the reader's default policy
-    /// applies.
-    pub fn simd_enabled(&self, n: u32, backend: &str) -> Option<bool> {
-        self.tuning(n, backend)?.simd
-    }
-
-    /// Relayout tuning recorded with the `(n, backend)` entry: the
-    /// gathered-block budget (elements) the recorder's executor relayouted
-    /// the tail with at this size, `Some(0)` meaning relayout did not
-    /// engage, `None` meaning no choice was recorded (or no entry exists)
-    /// and the reader's default policy applies.
-    pub fn relayout_budget(&self, n: u32, backend: &str) -> Option<usize> {
-        self.tuning(n, backend)?
-            .relayout
-            .map(|b| usize::try_from(b).unwrap_or(usize::MAX))
-    }
-
-    /// Batched-execution tuning recorded with the `(n, backend)` entry:
-    /// the row-block threshold the recorder's executor built its batch
-    /// schedule with at this size, `Some(0)` meaning it built none
-    /// (stage off, or the size is past the batch cap), `None` meaning no
-    /// choice was recorded (or no entry exists) and the reader's default
-    /// policy applies.
-    pub fn batch_block(&self, n: u32, backend: &str) -> Option<usize> {
-        self.tuning(n, backend)?
-            .batch
-            .map(|b| usize::try_from(b).unwrap_or(usize::MAX))
-    }
-
-    /// The [`CostObjective`] recorded with the `(n, backend)` entry:
-    /// which weighting the recorder's vectored cost backend collapsed its
-    /// terms under when the plan won. `None` means default weights, a
-    /// pre-version-5 record, or no entry at all.
-    pub fn objective(&self, n: u32, backend: &str) -> Option<CostObjective> {
-        self.tuning(n, backend)?.objective
-    }
-
     /// Record (or overwrite) the best plan for `(n, backend)` with no
     /// executor tuning attached.
     ///
@@ -362,30 +313,6 @@ impl Wisdom {
     /// `n` must transform size-`2^n` inputs.
     pub fn insert(&mut self, n: u32, backend: &str, plan: Plan) -> Result<(), WhtError> {
         self.insert_with_tuning(n, backend, plan, Tuning::default())
-    }
-
-    /// Record (or overwrite) the best plan for `(n, backend)`, attaching
-    /// the tile budget the recorder compiled with (`Some(0)` = fusion
-    /// off) but no other executor choice.
-    ///
-    /// # Errors
-    /// [`WhtError::LengthMismatch`] if `plan.n() != n`.
-    pub fn insert_with_budget(
-        &mut self,
-        n: u32,
-        backend: &str,
-        plan: Plan,
-        fuse_budget: Option<usize>,
-    ) -> Result<(), WhtError> {
-        self.insert_with_tuning(
-            n,
-            backend,
-            plan,
-            Tuning {
-                fuse_budget: fuse_budget.map(|b| b as u64),
-                ..Tuning::default()
-            },
-        )
     }
 
     /// Record (or overwrite) the best plan for `(n, backend)`, attaching
@@ -726,30 +653,6 @@ fn unsupported_version(text: &str) -> Option<u32> {
     }
 }
 
-/// Which knobs of the planner's [`ExecPolicy`] were explicitly pinned
-/// through the API (and therefore beat recorded wisdom — the precedence
-/// rule's first clause).
-#[derive(Debug, Clone, Copy, Default)]
-struct PinnedKnobs {
-    fusion: bool,
-    simd: bool,
-    relayout: bool,
-    recodelet: bool,
-    batch: bool,
-    stream: bool,
-}
-
-impl PinnedKnobs {
-    const ALL: PinnedKnobs = PinnedKnobs {
-        fusion: true,
-        simd: true,
-        relayout: true,
-        recodelet: true,
-        batch: true,
-        stream: true,
-    };
-}
-
 /// Production entry point: owns a cost backend, a [`Wisdom`] store, and a
 /// compiled-schedule cache; serves `planner.transform(&mut x)` with
 /// memoized search amortized to zero on the warm path (see the module
@@ -759,10 +662,11 @@ pub struct Planner<C: PlanCost> {
     cost: C,
     opts: DpOptions,
     /// The planner's own executor configuration (environment snapshot at
-    /// construction, fields replaced by the `with_*` builders).
+    /// construction, replaced by [`Planner::with_exec`]).
     exec: ExecPolicy,
-    /// Which fields of `exec` were pinned through the API.
-    pinned: PinnedKnobs,
+    /// `true` once [`Planner::with_exec`] pinned `exec`: recorded wisdom
+    /// then no longer overrides any stage.
+    pinned: bool,
     wisdom: Wisdom,
     compiled: HashMap<u32, CompiledPlan>,
     /// Solved search groups, kept across `plan` calls: a later, larger
@@ -793,7 +697,7 @@ impl<C: PlanCost> Planner<C> {
             cost,
             opts,
             exec: ExecPolicy::from_env(),
-            pinned: PinnedKnobs::default(),
+            pinned: false,
             wisdom: Wisdom::new(),
             compiled: HashMap::new(),
             memo: MemoTable::new(),
@@ -808,116 +712,15 @@ impl<C: PlanCost> Planner<C> {
     /// Drops compiled schedules so already-served sizes recompile under
     /// the new configuration. `with_exec(ExecPolicy::all_disabled())` is
     /// the full API opt-out: the pure scalar unfused baseline, whatever
-    /// the environment or the wisdom says.
+    /// the environment or the wisdom says. To change one stage, pin
+    /// `ExecPolicy::from_env().with_fusion(..)` (or any other
+    /// `ExecPolicy::with_*`).
     #[must_use]
     pub fn with_exec(mut self, exec: ExecPolicy) -> Self {
         self.exec = exec;
-        self.pinned = PinnedKnobs::ALL;
+        self.pinned = true;
         self.compiled.clear();
         self
-    }
-
-    /// Override the fusion policy (builder style). Drops compiled
-    /// schedules so already-served sizes recompile under the new policy,
-    /// and **pins** the policy: budgets recorded in wisdom (including by
-    /// this planner's own earlier searches) no longer override it. This
-    /// is the API opt-out: `with_fusion(FusionPolicy::disabled())` serves
-    /// unfused schedules whatever the environment or the wisdom says.
-    #[must_use]
-    pub fn with_fusion(mut self, fusion: FusionPolicy) -> Self {
-        self.exec.fusion = fusion;
-        self.pinned.fusion = true;
-        self.compiled.clear();
-        self
-    }
-
-    /// The fusion policy new wisdom is recorded with and cold sizes are
-    /// compiled under — resolution per the module docs' precedence rule.
-    pub fn fusion(&self) -> FusionPolicy {
-        self.exec.fusion
-    }
-
-    /// Override the SIMD kernel policy (builder style); same pin
-    /// semantics as [`Planner::with_fusion`].
-    #[must_use]
-    pub fn with_simd(mut self, simd: SimdPolicy) -> Self {
-        self.exec.simd = simd;
-        self.pinned.simd = true;
-        self.compiled.clear();
-        self
-    }
-
-    /// The SIMD policy new wisdom is recorded with and cold sizes are
-    /// compiled under — resolution per the module docs' precedence rule.
-    pub fn simd(&self) -> SimdPolicy {
-        self.exec.simd
-    }
-
-    /// Override the tail-relayout policy (builder style); same pin
-    /// semantics as [`Planner::with_fusion`].
-    #[must_use]
-    pub fn with_relayout(mut self, relayout: RelayoutPolicy) -> Self {
-        self.exec.relayout = relayout;
-        self.pinned.relayout = true;
-        self.compiled.clear();
-        self
-    }
-
-    /// The relayout policy new wisdom is recorded with and cold sizes are
-    /// compiled under — resolution per the module docs' precedence rule.
-    pub fn relayout(&self) -> RelayoutPolicy {
-        self.exec.relayout
-    }
-
-    /// Override the re-codeleting policy (builder style); same pin
-    /// semantics as [`Planner::with_fusion`].
-    #[must_use]
-    pub fn with_recodelet(mut self, recodelet: RecodeletPolicy) -> Self {
-        self.exec.recodelet = recodelet;
-        self.pinned.recodelet = true;
-        self.compiled.clear();
-        self
-    }
-
-    /// The re-codeleting policy new wisdom is recorded with and cold
-    /// sizes are compiled under — resolution per the module docs'
-    /// precedence rule.
-    pub fn recodelet(&self) -> RecodeletPolicy {
-        self.exec.recodelet
-    }
-
-    /// Override the batched-execution policy (builder style); same pin
-    /// semantics as [`Planner::with_fusion`].
-    #[must_use]
-    pub fn with_batch(mut self, batch: BatchPolicy) -> Self {
-        self.exec.batch = batch;
-        self.pinned.batch = true;
-        self.compiled.clear();
-        self
-    }
-
-    /// The batched-execution policy new wisdom is recorded with and cold
-    /// sizes are compiled under — resolution per the module docs'
-    /// precedence rule.
-    pub fn batch(&self) -> BatchPolicy {
-        self.exec.batch
-    }
-
-    /// Override the streaming-memory-codelet policy (builder style); same
-    /// pin semantics as [`Planner::with_fusion`].
-    #[must_use]
-    pub fn with_stream(mut self, stream: StreamPolicy) -> Self {
-        self.exec.stream = stream;
-        self.pinned.stream = true;
-        self.compiled.clear();
-        self
-    }
-
-    /// The streaming-memory-codelet policy new wisdom is recorded with
-    /// and cold sizes are compiled under — resolution per the module
-    /// docs' precedence rule.
-    pub fn stream(&self) -> StreamPolicy {
-        self.exec.stream
     }
 
     /// The planner's own executor configuration (before per-size wisdom
@@ -1063,21 +866,18 @@ impl<C: PlanCost> Planner<C> {
     /// see [`wht_core::resolve_knob`]). Exposed so services and tests can
     /// inspect the decision without compiling.
     pub fn resolved_exec(&self, n: u32) -> ExecPolicy {
+        if self.pinned {
+            return self.exec;
+        }
         let t = self.wisdom.tuning(n, self.cost.name()).unwrap_or_default();
         ExecPolicy {
             fusion: resolve_knob(
-                self.pinned.fusion,
                 self.exec.fusion,
                 t.fuse_budget
                     .map(|b| FusionPolicy::new(usize::try_from(b).unwrap_or(usize::MAX))),
             ),
-            relayout: resolve_knob(
-                self.pinned.relayout,
-                self.exec.relayout,
-                t.relayout.map(replay_relayout),
-            ),
+            relayout: resolve_knob(self.exec.relayout, t.relayout.map(replay_relayout)),
             recodelet: resolve_knob(
-                self.pinned.recodelet,
                 self.exec.recodelet,
                 // The record is a bool (the stage's shape knobs are
                 // host-tuning, not per-size wisdom), so a recorded *on*
@@ -1093,7 +893,6 @@ impl<C: PlanCost> Planner<C> {
                 }),
             ),
             simd: resolve_knob(
-                self.pinned.simd,
                 self.exec.simd,
                 t.simd.map(|on| {
                     if on {
@@ -1103,13 +902,8 @@ impl<C: PlanCost> Planner<C> {
                     }
                 }),
             ),
-            batch: resolve_knob(
-                self.pinned.batch,
-                self.exec.batch,
-                t.batch.map(replay_batch),
-            ),
+            batch: resolve_knob(self.exec.batch, t.batch.map(replay_batch)),
             stream: resolve_knob(
-                self.pinned.stream,
                 self.exec.stream,
                 // On/off record, like `recodelet`: the engagement
                 // threshold is host tuning, so a recorded *on* replays
@@ -1487,32 +1281,45 @@ mod tests {
     #[test]
     fn wisdom_records_the_tile_budget_and_round_trips_it() {
         // The planner stamps its fusion budget on every entry it records.
-        let mut planner =
-            Planner::new(InstructionCost::default()).with_fusion(FusionPolicy::new(1 << 9));
+        let mut planner = Planner::new(InstructionCost::default())
+            .with_exec(ExecPolicy::from_env().with_fusion(FusionPolicy::new(1 << 9)));
         planner.plan(8).unwrap();
         for m in 1..=8u32 {
             assert_eq!(
-                planner.wisdom().fuse_budget(m, "instruction-model"),
+                planner
+                    .wisdom()
+                    .tuning(m, "instruction-model")
+                    .unwrap()
+                    .fuse_budget,
                 Some(1 << 9)
             );
         }
         // ...and the budget survives the JSON round trip.
         let back = Wisdom::from_json(&planner.wisdom().to_json()).unwrap();
         assert_eq!(&back, planner.wisdom());
-        assert_eq!(back.fuse_budget(8, "instruction-model"), Some(1 << 9));
+        assert_eq!(
+            back.tuning(8, "instruction-model").unwrap().fuse_budget,
+            Some(1 << 9)
+        );
 
         // A fusion-off planner records budget 0, distinct from "not
         // recorded".
-        let mut off =
-            Planner::new(InstructionCost::default()).with_fusion(FusionPolicy::disabled());
+        let mut off = Planner::new(InstructionCost::default())
+            .with_exec(ExecPolicy::from_env().with_fusion(FusionPolicy::disabled()));
         off.plan(4).unwrap();
         let back = Wisdom::from_json(&off.wisdom().to_json()).unwrap();
-        assert_eq!(back.fuse_budget(4, "instruction-model"), Some(0));
+        assert_eq!(
+            back.tuning(4, "instruction-model").unwrap().fuse_budget,
+            Some(0)
+        );
         let mut plain = Wisdom::new();
         plain
             .insert(4, "instruction-model", Plan::iterative(4).unwrap())
             .unwrap();
-        assert_eq!(plain.fuse_budget(4, "instruction-model"), None);
+        assert_eq!(
+            plain.tuning(4, "instruction-model").unwrap().fuse_budget,
+            None
+        );
         assert!(plain.tuning(4, "instruction-model").unwrap().is_empty());
     }
 
@@ -1520,8 +1327,8 @@ mod tests {
     fn recorded_budget_overrides_the_importing_planners_policy() {
         // Tune with fusion off; a default (fusion-on) importer must still
         // compile that size unfused, honoring the recorded configuration.
-        let mut tuned =
-            Planner::new(InstructionCost::default()).with_fusion(FusionPolicy::disabled());
+        let mut tuned = Planner::new(InstructionCost::default())
+            .with_exec(ExecPolicy::from_env().with_fusion(FusionPolicy::disabled()));
         tuned.plan(10).unwrap();
         let wisdom = Wisdom::from_json(&tuned.wisdom().to_json()).unwrap();
 
@@ -1538,7 +1345,7 @@ mod tests {
         let legacy =
             "{\"version\":1,\"entries\":[{\"n\":4,\"backend\":\"x\",\"plan\":\"split[small[2],small[2]]\"}]}";
         let w = Wisdom::from_json(legacy).unwrap();
-        assert_eq!(w.fuse_budget(4, "x"), None);
+        assert_eq!(w.tuning(4, "x").unwrap().fuse_budget, None);
     }
 
     #[test]
@@ -1550,16 +1357,18 @@ mod tests {
         // re-enable fusion past the kill switch.
         let mut wisdom = Wisdom::new();
         wisdom
-            .insert_with_budget(
+            .insert_with_tuning(
                 10,
                 "instruction-model",
                 Plan::iterative(10).unwrap(),
-                Some(1 << 9),
+                Tuning {
+                    fuse_budget: Some(1 << 9),
+                    ..Tuning::default()
+                },
             )
             .unwrap();
         let mut planner = Planner::new(InstructionCost::default()).with_wisdom(wisdom);
         planner.exec.fusion = FusionPolicy::disabled();
-        planner.pinned.fusion = false;
         let mut x: Vec<f64> = (0..1024).map(|j| (j % 5) as f64).collect();
         planner.transform(&mut x).unwrap();
         assert!(
@@ -1569,29 +1378,35 @@ mod tests {
     }
 
     #[test]
-    fn with_fusion_pins_the_policy_over_recorded_budgets() {
+    fn with_exec_pins_fusion_over_recorded_budgets() {
         // A planner that already recorded a fused budget for a size must
-        // still honor a later explicit opt-out — with_fusion pins the
+        // still honor a later explicit opt-out — with_exec pins the
         // policy, beating the planner's own earlier wisdom.
-        let mut planner =
-            Planner::new(InstructionCost::default()).with_fusion(FusionPolicy::new(1 << 12));
+        let mut planner = Planner::new(InstructionCost::default())
+            .with_exec(ExecPolicy::from_env().with_fusion(FusionPolicy::new(1 << 12)));
         let mut x: Vec<f64> = (0..4096).map(|j| (j % 7) as f64).collect();
         planner.transform(&mut x).unwrap();
         assert!(planner.compiled.get(&12).unwrap().is_fused());
         assert_eq!(
-            planner.wisdom().fuse_budget(12, "instruction-model"),
+            planner
+                .wisdom()
+                .tuning(12, "instruction-model")
+                .unwrap()
+                .fuse_budget,
             Some(1 << 12)
         );
 
-        let mut planner = planner.with_fusion(FusionPolicy::disabled());
+        let off = planner.exec().with_fusion(FusionPolicy::disabled());
+        let mut planner = planner.with_exec(off);
         let mut y: Vec<f64> = (0..4096).map(|j| (j % 7) as f64).collect();
         planner.transform(&mut y).unwrap();
         assert!(
             !planner.compiled.get(&12).unwrap().is_fused(),
-            "explicit with_fusion(disabled) must beat the recorded budget"
+            "an explicit fusion-off pin must beat the recorded budget"
         );
         // And flipping back on works the same way.
-        let mut planner = planner.with_fusion(FusionPolicy::unbounded());
+        let on = planner.exec().with_fusion(FusionPolicy::unbounded());
+        let mut planner = planner.with_exec(on);
         let mut z: Vec<f64> = (0..4096).map(|j| (j % 7) as f64).collect();
         planner.transform(&mut z).unwrap();
         assert!(planner.compiled.get(&12).unwrap().is_fused());
@@ -1600,25 +1415,31 @@ mod tests {
     #[test]
     fn wisdom_records_the_kernel_backend_and_round_trips_it() {
         // The planner stamps its SIMD policy on every entry it records...
-        let mut planner =
-            Planner::new(InstructionCost::default()).with_simd(SimdPolicy::disabled());
+        let mut planner = Planner::new(InstructionCost::default())
+            .with_exec(ExecPolicy::from_env().with_simd(SimdPolicy::disabled()));
         planner.plan(8).unwrap();
         for m in 1..=8u32 {
             assert_eq!(
-                planner.wisdom().simd_enabled(m, "instruction-model"),
+                planner
+                    .wisdom()
+                    .tuning(m, "instruction-model")
+                    .unwrap()
+                    .simd,
                 Some(false)
             );
         }
         // ...and the record survives the JSON round trip.
         let back = Wisdom::from_json(&planner.wisdom().to_json()).unwrap();
         assert_eq!(&back, planner.wisdom());
-        assert_eq!(back.simd_enabled(8, "instruction-model"), Some(false));
+        assert_eq!(
+            back.tuning(8, "instruction-model").unwrap().simd,
+            Some(false)
+        );
 
         // An importing planner with an unpinned enabled policy replays the
         // recorded scalar choice.
         let mut warm = Planner::new(InstructionCost::default()).with_wisdom(back);
         warm.exec.simd = SimdPolicy::auto();
-        warm.pinned.simd = false;
         let mut x: Vec<f64> = (0..256).map(|j| (j % 7) as f64).collect();
         warm.transform(&mut x).unwrap();
         assert!(
@@ -1630,7 +1451,7 @@ mod tests {
         let legacy =
             "{\"version\":1,\"entries\":[{\"n\":4,\"backend\":\"x\",\"plan\":\"split[small[2],small[2]]\"}]}";
         let w = Wisdom::from_json(legacy).unwrap();
-        assert_eq!(w.simd_enabled(4, "x"), None);
+        assert_eq!(w.tuning(4, "x").unwrap().simd, None);
     }
 
     #[test]
@@ -1652,7 +1473,6 @@ mod tests {
             .unwrap();
         let mut planner = Planner::new(InstructionCost::default()).with_wisdom(wisdom.clone());
         planner.exec.simd = SimdPolicy::disabled();
-        planner.pinned.simd = false;
         let mut x: Vec<f64> = (0..1024).map(|j| (j % 5) as f64).collect();
         planner.transform(&mut x).unwrap();
         assert!(
@@ -1660,15 +1480,16 @@ mod tests {
             "a disabled default policy must beat the recorded backend"
         );
 
-        // And an explicit with_simd pin beats the record in both
+        // And an explicit with_exec pin beats the record in both
         // directions.
         let mut pinned = Planner::new(InstructionCost::default())
             .with_wisdom(wisdom)
-            .with_simd(SimdPolicy::disabled());
+            .with_exec(ExecPolicy::from_env().with_simd(SimdPolicy::disabled()));
         let mut y: Vec<f64> = (0..1024).map(|j| (j % 5) as f64).collect();
         pinned.transform(&mut y).unwrap();
         assert!(!pinned.compiled.get(&10).unwrap().is_simd());
-        let mut repinned = pinned.with_simd(SimdPolicy::auto());
+        let lanes = pinned.exec().with_simd(SimdPolicy::auto());
+        let mut repinned = pinned.with_exec(lanes);
         let mut z: Vec<f64> = (0..1024).map(|j| (j % 5) as f64).collect();
         repinned.transform(&mut z).unwrap();
         assert!(repinned.compiled.get(&10).unwrap().is_simd());
@@ -1681,9 +1502,11 @@ mod tests {
         // planner's executor would actually relayout that size's plan —
         // a policy knob (min_passes) or a short-tailed DP winner that
         // declines relayout must record 0, whatever the size gates say.
-        let mut planner = Planner::new(InstructionCost::default())
-            .with_fusion(FusionPolicy::new(1 << 6))
-            .with_relayout(RelayoutPolicy::eager(1 << 9));
+        let mut planner = Planner::new(InstructionCost::default()).with_exec(
+            ExecPolicy::from_env()
+                .with_fusion(FusionPolicy::new(1 << 6))
+                .with_relayout(RelayoutPolicy::eager(1 << 9)),
+        );
         planner.plan(14).unwrap();
         for m in 1..=14u32 {
             let plan_m = planner
@@ -1692,32 +1515,46 @@ mod tests {
                 .unwrap()
                 .clone();
             let executed = CompiledPlan::compile(&plan_m)
-                .fuse(&planner.fusion())
-                .relayout(&planner.relayout())
+                .fuse(&planner.exec().fusion)
+                .relayout(&planner.exec().relayout)
                 .has_relayout();
             assert_eq!(
-                planner.wisdom().relayout_budget(m, "instruction-model"),
+                planner
+                    .wisdom()
+                    .tuning(m, "instruction-model")
+                    .unwrap()
+                    .relayout,
                 Some(if executed { 1 << 9 } else { 0 }),
                 "record must match the executed schedule at n = {m}"
             );
         }
         assert_eq!(
-            planner.wisdom().relayout_budget(8, "instruction-model"),
+            planner
+                .wisdom()
+                .tuning(8, "instruction-model")
+                .unwrap()
+                .relayout,
             Some(0),
             "sizes inside the block budget cannot gather and record 0"
         );
         // And a policy whose min_passes declines every tail records 0
         // everywhere even though its size gates pass.
-        let mut never = Planner::new(InstructionCost::default())
-            .with_fusion(FusionPolicy::new(1 << 6))
-            .with_relayout(RelayoutPolicy {
-                min_passes: 99,
-                ..RelayoutPolicy::eager(1 << 9)
-            });
+        let mut never = Planner::new(InstructionCost::default()).with_exec(
+            ExecPolicy::from_env()
+                .with_fusion(FusionPolicy::new(1 << 6))
+                .with_relayout(RelayoutPolicy {
+                    min_passes: 99,
+                    ..RelayoutPolicy::eager(1 << 9)
+                }),
+        );
         never.plan(14).unwrap();
         for m in 1..=14u32 {
             assert_eq!(
-                never.wisdom().relayout_budget(m, "instruction-model"),
+                never
+                    .wisdom()
+                    .tuning(m, "instruction-model")
+                    .unwrap()
+                    .relayout,
                 Some(0),
                 "a declining policy must not record a tuning it never ran"
             );
@@ -1749,7 +1586,6 @@ mod tests {
         // WHT_NO_RELAYOUT leg would otherwise kill-switch the replay,
         // which has its own test below).
         warm.exec.relayout = RelayoutPolicy::default();
-        warm.pinned.relayout = false;
         let mut x: Vec<f64> = (0..1 << 14).map(|j| (j % 11) as f64 - 5.0).collect();
         let want = naive_wht(&x);
         warm.transform(&mut x).unwrap();
@@ -1792,7 +1628,6 @@ mod tests {
             .unwrap();
         let mut warm = Planner::new(InstructionCost::default()).with_wisdom(wisdom);
         warm.exec.relayout = RelayoutPolicy::default();
-        warm.pinned.relayout = false;
         let mut x: Vec<f64> = (0..1 << 10).map(|j| (j % 9) as f64 - 4.0).collect();
         let want = naive_wht(&x);
         warm.transform(&mut x).unwrap();
@@ -1823,7 +1658,6 @@ mod tests {
             .unwrap();
         let mut planner = Planner::new(InstructionCost::default()).with_wisdom(wisdom.clone());
         planner.exec.relayout = RelayoutPolicy::disabled();
-        planner.pinned.relayout = false;
         let mut x: Vec<f64> = (0..1 << 14).map(|j| (j % 5) as f64).collect();
         planner.transform(&mut x).unwrap();
         assert!(
@@ -1831,14 +1665,17 @@ mod tests {
             "a disabled default policy must beat the recorded tuning"
         );
 
-        // And an explicit with_relayout pin beats the record both ways.
+        // And an explicit with_exec pin beats the record both ways. (The
+        // pin spells out the recorded fusion budget, which leaves a
+        // gatherable tail.)
+        let fused = ExecPolicy::from_env().with_fusion(FusionPolicy::new(1 << 6));
         let mut pinned = Planner::new(InstructionCost::default())
             .with_wisdom(wisdom)
-            .with_relayout(RelayoutPolicy::disabled());
+            .with_exec(fused.with_relayout(RelayoutPolicy::disabled()));
         let mut y: Vec<f64> = (0..1 << 14).map(|j| (j % 5) as f64).collect();
         pinned.transform(&mut y).unwrap();
         assert!(!pinned.compiled.get(&14).unwrap().has_relayout());
-        let mut repinned = pinned.with_relayout(RelayoutPolicy::eager(1 << 9));
+        let mut repinned = pinned.with_exec(fused.with_relayout(RelayoutPolicy::eager(1 << 9)));
         let mut z: Vec<f64> = (0..1 << 14).map(|j| (j % 5) as f64).collect();
         repinned.transform(&mut z).unwrap();
         assert!(repinned.compiled.get(&14).unwrap().has_relayout());
@@ -1853,12 +1690,12 @@ mod tests {
                        \"plan\":\"split[small[2],small[2]]\",\"fuse_budget\":512,\
                        \"simd\":true}]}";
         let w = Wisdom::from_json(legacy).unwrap();
-        assert_eq!(w.fuse_budget(4, "x"), Some(512));
-        assert_eq!(w.simd_enabled(4, "x"), Some(true));
-        assert_eq!(w.relayout_budget(4, "x"), None);
+        assert_eq!(w.tuning(4, "x").unwrap().fuse_budget, Some(512));
+        assert_eq!(w.tuning(4, "x").unwrap().simd, Some(true));
+        assert_eq!(w.tuning(4, "x").unwrap().relayout, None);
         assert_eq!(w.tuning(4, "x").unwrap().recodelet, None);
-        assert_eq!(w.batch_block(4, "x"), None);
-        assert_eq!(w.objective(4, "x"), None);
+        assert_eq!(w.tuning(4, "x").unwrap().batch, None);
+        assert_eq!(w.tuning(4, "x").unwrap().objective, None);
         let json = w.to_json();
         assert!(json.contains("\"version\": 7"), "{json}");
         assert!(json.contains("\"tuning\""), "{json}");
@@ -1879,9 +1716,12 @@ mod tests {
                       small[4]]\",\"tuning\":{\"fuse_budget\":4096,\"simd\":true,\
                       \"relayout\":0,\"recodelet\":true}}]}";
         let w = Wisdom::from_json(legacy).unwrap();
-        assert_eq!(w.fuse_budget(12, "instruction-model"), Some(4096));
         assert_eq!(
-            w.batch_block(12, "instruction-model"),
+            w.tuning(12, "instruction-model").unwrap().fuse_budget,
+            Some(4096)
+        );
+        assert_eq!(
+            w.tuning(12, "instruction-model").unwrap().batch,
             None,
             "a stage the blob predates records no choice"
         );
@@ -1891,7 +1731,6 @@ mod tests {
         // migrated replay is bit-identical to a fresh computation.
         let mut warm = Planner::new(InstructionCost::default()).with_wisdom(migrated);
         warm.exec = ExecPolicy::default();
-        warm.pinned = PinnedKnobs::default();
         assert_eq!(
             warm.resolved_exec(12).batch,
             BatchPolicy::default(),
@@ -1914,9 +1753,15 @@ mod tests {
                       small[1],small[1],small[1],small[1],small[1],small[1]]\",\
                       \"fuse_budget\":64,\"simd\":true,\"relayout\":512}]}";
         let w = Wisdom::from_json(legacy).unwrap();
-        assert_eq!(w.fuse_budget(14, "instruction-model"), Some(64));
-        assert_eq!(w.simd_enabled(14, "instruction-model"), Some(true));
-        assert_eq!(w.relayout_budget(14, "instruction-model"), Some(512));
+        assert_eq!(
+            w.tuning(14, "instruction-model").unwrap().fuse_budget,
+            Some(64)
+        );
+        assert_eq!(w.tuning(14, "instruction-model").unwrap().simd, Some(true));
+        assert_eq!(
+            w.tuning(14, "instruction-model").unwrap().relayout,
+            Some(512)
+        );
         assert_eq!(
             w.tuning(14, "instruction-model").unwrap().recodelet,
             None,
@@ -1927,17 +1772,13 @@ mod tests {
         assert_eq!(migrated, w);
         // ...and replay the recorded configuration: the resolved policy
         // matches the legacy per-knob resolution exactly, and with the
-        // post-v2 stages pinned off, the compiled schedule is *equal* to
-        // what the pre-pipeline executor compiled for this blob.
+        // post-v2 stages switched off (an unpinned disabled policy is a
+        // kill switch), the compiled schedule is *equal* to what the
+        // pre-pipeline executor compiled for this blob.
         let mut warm = Planner::new(InstructionCost::default()).with_wisdom(migrated);
-        warm.exec = ExecPolicy::default();
-        warm.pinned = PinnedKnobs {
-            recodelet: true,
-            batch: true,
-            ..PinnedKnobs::default()
-        };
-        warm.exec.recodelet = RecodeletPolicy::disabled();
-        warm.exec.batch = BatchPolicy::disabled();
+        warm.exec = ExecPolicy::default()
+            .with_recodelet(RecodeletPolicy::disabled())
+            .with_batch(BatchPolicy::disabled());
         let resolved = warm.resolved_exec(14);
         assert_eq!(resolved.fusion, FusionPolicy::new(64));
         assert!(resolved.simd.enabled());
@@ -1949,20 +1790,17 @@ mod tests {
         let plan = warm.wisdom().get(14, "instruction-model").unwrap().clone();
         assert_eq!(
             warm.compiled.get(&14).unwrap(),
-            &CompiledPlan::compile_with(
-                &plan,
-                &FusionPolicy::new(64),
-                &replay_relayout(512),
-                &SimdPolicy::auto()
-            ),
-            "v2 blob + pinned-off later stages = the pre-refactor schedule, exactly"
+            &CompiledPlan::compile(&plan)
+                .fuse(&FusionPolicy::new(64))
+                .relayout(&replay_relayout(512))
+                .with_simd(&SimdPolicy::auto()),
+            "v2 blob + later stages off = the pre-refactor schedule, exactly"
         );
         // With the importer's default (unpinned) tail policy the schedule
         // additionally re-codelets — and output bits cannot change.
         let mut modern = Planner::new(InstructionCost::default())
             .with_wisdom(Wisdom::from_json(legacy).unwrap());
         modern.exec = ExecPolicy::default();
-        modern.pinned = PinnedKnobs::default();
         let mut y: Vec<f64> = (0..1 << 14).map(|j| (j % 11) as f64 - 5.0).collect();
         modern.transform(&mut y).unwrap();
         assert_eq!(
@@ -1982,9 +1820,9 @@ mod tests {
                       \"tuning\":{\"fuse_budget\":64,\"simd\":false,\"relayout\":32,\
                       \"recodelet\":true,\"prefetch_distance\":8}}]}";
         let w = Wisdom::from_json(future).unwrap();
-        assert_eq!(w.fuse_budget(4, "x"), Some(64));
-        assert_eq!(w.simd_enabled(4, "x"), Some(false));
-        assert_eq!(w.relayout_budget(4, "x"), Some(32));
+        assert_eq!(w.tuning(4, "x").unwrap().fuse_budget, Some(64));
+        assert_eq!(w.tuning(4, "x").unwrap().simd, Some(false));
+        assert_eq!(w.tuning(4, "x").unwrap().relayout, Some(32));
         assert_eq!(w.tuning(4, "x").unwrap().recodelet, Some(true));
     }
 
@@ -2007,7 +1845,6 @@ mod tests {
             .unwrap();
         let mut planner = Planner::new(InstructionCost::default()).with_wisdom(wisdom.clone());
         planner.exec = ExecPolicy::default();
-        planner.pinned = PinnedKnobs::default();
         let mut x: Vec<f64> = (0..1 << 14).map(|j| (j % 5) as f64).collect();
         planner.transform(&mut x).unwrap();
         let compiled = planner.compiled.get(&14).unwrap();
@@ -2035,22 +1872,52 @@ mod tests {
         let mut killed = Planner::new(InstructionCost::default()).with_wisdom(on_record);
         killed.exec = ExecPolicy::default();
         killed.exec.recodelet = RecodeletPolicy::disabled();
-        killed.pinned = PinnedKnobs::default();
         assert!(!killed.resolved_exec(14).recodelet.enabled());
-        // ...and an explicit pin beats the record both ways. (The other
-        // knobs are set to unpinned defaults by hand so the recorded
-        // fusion/relayout tuning replays identically on every CI leg.)
-        let mut pinned = Planner::new(InstructionCost::default()).with_wisdom(wisdom);
-        pinned.exec = ExecPolicy::default();
-        pinned.pinned = PinnedKnobs {
-            recodelet: true,
-            ..PinnedKnobs::default()
-        };
+        // ...and an explicit pin beats the record. (The pin spells out the
+        // recorded fusion/relayout tuning so the schedule is the same on
+        // every CI leg.)
+        let pinned_exec = ExecPolicy::default()
+            .with_fusion(FusionPolicy::new(1 << 6))
+            .with_relayout(replay_relayout(1 << 9));
+        let mut pinned = Planner::new(InstructionCost::default())
+            .with_wisdom(wisdom)
+            .with_exec(pinned_exec);
+        assert_eq!(pinned.resolved_exec(14), pinned_exec);
         assert!(pinned.resolved_exec(14).recodelet.enabled());
         let mut y: Vec<f64> = (0..1 << 14).map(|j| (j % 5) as f64).collect();
         pinned.transform(&mut y).unwrap();
         assert!(pinned.compiled.get(&14).unwrap().has_recodeleted());
         assert_eq!(y, x, "re-codeleting never changes output bits");
+    }
+
+    #[test]
+    fn stream_resolves_through_the_same_precedence_rule() {
+        let record = |stream| {
+            let mut wisdom = Wisdom::new();
+            wisdom
+                .insert_with_tuning(
+                    10,
+                    "instruction-model",
+                    Plan::iterative(10).unwrap(),
+                    Tuning {
+                        stream: Some(stream),
+                        ..Tuning::default()
+                    },
+                )
+                .unwrap();
+            Planner::new(InstructionCost::default()).with_wisdom(wisdom)
+        };
+        // Recorded off beats the importer's enabled default...
+        let mut off = record(false);
+        off.exec.stream = StreamPolicy::eager();
+        assert!(!off.resolved_exec(10).stream.enabled());
+        // ...a recorded on replays through the reader's own threshold...
+        let mut on = record(true);
+        on.exec.stream = StreamPolicy::new(1 << 20);
+        assert_eq!(on.resolved_exec(10).stream, StreamPolicy::new(1 << 20));
+        // ...and an unpinned disabled default is a kill switch over it.
+        on.exec.stream = StreamPolicy::disabled();
+        assert!(!on.resolved_exec(10).stream.enabled());
     }
 
     #[test]
@@ -2099,35 +1966,53 @@ mod tests {
         // The record is read off the lowered schedule: small sizes build
         // the batch product and record the policy's threshold; a size
         // past the batch cap records 0 even though the policy is on.
-        let mut planner = Planner::new(InstructionCost::default()).with_batch(BatchPolicy::new(32));
+        let mut planner = Planner::new(InstructionCost::default())
+            .with_exec(ExecPolicy::from_env().with_batch(BatchPolicy::new(32)));
         planner.plan(10).unwrap();
         for m in 1..=10u32 {
             assert_eq!(
-                planner.wisdom().batch_block(m, "instruction-model"),
+                planner
+                    .wisdom()
+                    .tuning(m, "instruction-model")
+                    .unwrap()
+                    .batch,
                 Some(32),
                 "sizes within the cap record the threshold at n = {m}"
             );
         }
         let back = Wisdom::from_json(&planner.wisdom().to_json()).unwrap();
         assert_eq!(&back, planner.wisdom());
-        assert_eq!(back.batch_block(10, "instruction-model"), Some(32));
+        assert_eq!(
+            back.tuning(10, "instruction-model").unwrap().batch,
+            Some(32)
+        );
 
         // A batch-off planner records 0, distinct from "not recorded".
-        let mut off = Planner::new(InstructionCost::default()).with_batch(BatchPolicy::disabled());
+        let mut off = Planner::new(InstructionCost::default())
+            .with_exec(ExecPolicy::from_env().with_batch(BatchPolicy::disabled()));
         off.plan(4).unwrap();
-        assert_eq!(off.wisdom().batch_block(4, "instruction-model"), Some(0));
+        assert_eq!(
+            off.wisdom().tuning(4, "instruction-model").unwrap().batch,
+            Some(0)
+        );
 
         // A size past the batch cap records 0 under an enabled policy.
-        let mut big = Planner::new(InstructionCost::default()).with_batch(BatchPolicy::new(32));
+        let mut big = Planner::new(InstructionCost::default())
+            .with_exec(ExecPolicy::from_env().with_batch(BatchPolicy::new(32)));
         big.plan(20).unwrap();
-        assert_eq!(big.wisdom().batch_block(20, "instruction-model"), Some(0));
-        assert_eq!(big.wisdom().batch_block(10, "instruction-model"), Some(32));
+        assert_eq!(
+            big.wisdom().tuning(20, "instruction-model").unwrap().batch,
+            Some(0)
+        );
+        assert_eq!(
+            big.wisdom().tuning(10, "instruction-model").unwrap().batch,
+            Some(32)
+        );
 
         // An importing planner with an unpinned default policy replays
         // the recorded threshold.
         let mut warm = Planner::new(InstructionCost::default()).with_wisdom(back);
         warm.exec.batch = BatchPolicy::default();
-        warm.pinned.batch = false;
         assert_eq!(warm.resolved_exec(10).batch, BatchPolicy::new(32));
     }
 
@@ -2150,7 +2035,6 @@ mod tests {
             .unwrap();
         let mut planner = Planner::new(InstructionCost::default()).with_wisdom(wisdom.clone());
         planner.exec.batch = BatchPolicy::disabled();
-        planner.pinned.batch = false;
         assert!(
             !planner.resolved_exec(10).batch.enabled(),
             "a disabled default policy must beat the recorded threshold"
@@ -2174,15 +2058,15 @@ mod tests {
             .unwrap();
         let mut reader = Planner::new(InstructionCost::default()).with_wisdom(off_record);
         reader.exec.batch = BatchPolicy::default();
-        reader.pinned.batch = false;
         assert!(!reader.resolved_exec(10).batch.enabled());
 
-        // ...and an explicit with_batch pin beats the record both ways.
+        // ...and an explicit with_exec pin beats the record both ways.
         let pinned = Planner::new(InstructionCost::default())
             .with_wisdom(wisdom)
-            .with_batch(BatchPolicy::disabled());
+            .with_exec(ExecPolicy::from_env().with_batch(BatchPolicy::disabled()));
         assert!(!pinned.resolved_exec(10).batch.enabled());
-        let repinned = pinned.with_batch(BatchPolicy::new(8));
+        let batch = pinned.exec().with_batch(BatchPolicy::new(8));
+        let repinned = pinned.with_exec(batch);
         assert_eq!(repinned.resolved_exec(10).batch, BatchPolicy::new(8));
     }
 
@@ -2272,9 +2156,12 @@ mod tests {
                       \"tuning\":{\"fuse_budget\":4096,\"simd\":true,\
                       \"relayout\":0,\"recodelet\":true,\"batch\":0}}]}";
         let w = Wisdom::from_json(legacy).unwrap();
-        assert_eq!(w.fuse_budget(10, "combined-model"), Some(4096));
         assert_eq!(
-            w.objective(10, "combined-model"),
+            w.tuning(10, "combined-model").unwrap().fuse_budget,
+            Some(4096)
+        );
+        assert_eq!(
+            w.tuning(10, "combined-model").unwrap().objective,
             None,
             "a field the blob predates records no choice"
         );
@@ -2303,13 +2190,16 @@ mod tests {
         planner.plan(12).unwrap();
         let backend = planner.backend_name();
         assert_eq!(
-            planner.wisdom().objective(12, backend),
+            planner.wisdom().tuning(12, backend).unwrap().objective,
             Some(CostObjective::Memory)
         );
         let json = planner.wisdom().to_json();
         assert!(json.contains("\"objective\": \"Memory\""), "{json}");
         let reloaded = Wisdom::from_json(&json).unwrap();
-        assert_eq!(reloaded.objective(12, backend), Some(CostObjective::Memory));
+        assert_eq!(
+            reloaded.tuning(12, backend).unwrap().objective,
+            Some(CostObjective::Memory)
+        );
         // Same-objective importer: warm. Different objective: re-search.
         let mut same = Planner::new(CombinedModelCost::paper_default())
             .with_objective(CostObjective::Memory)
@@ -2322,7 +2212,7 @@ mod tests {
         other.plan(12).unwrap();
         assert!(other.evaluations() > 0);
         assert_eq!(
-            other.wisdom().objective(12, backend),
+            other.wisdom().tuning(12, backend).unwrap().objective,
             Some(CostObjective::Latency),
             "the stale entry is replaced under the new objective"
         );

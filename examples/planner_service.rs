@@ -15,9 +15,10 @@
 //! planner resolves through one precedence rule: **API pin > wisdom >
 //! environment > default**. Concretely:
 //!
-//! - `.with_exec(policy)` (or a per-stage `.with_fusion(...)` /
-//!   `.with_simd(...)` / `.with_relayout(...)` / `.with_recodelet(...)`)
-//!   pins the choice — recorded wisdom no longer overrides it.
+//! - `.with_exec(policy)` pins the whole configuration — recorded wisdom
+//!   no longer overrides any stage. To change one stage, pin
+//!   `ExecPolicy::from_env().with_fusion(...)` (or `.with_simd(...)`,
+//!   `.with_relayout(...)`, …).
 //! - The `WHT_NO_FUSE` / `WHT_NO_SIMD` / `WHT_NO_RELAYOUT` /
 //!   `WHT_NO_RECODELET` kill switches disable a stage process-wide, and
 //!   imported wisdom can never re-enable it (see `wht_core::env` for the
@@ -131,8 +132,7 @@ fn main() -> Result<(), WhtError> {
     );
     println!(
         "(kill switches: WHT_NO_FUSE / WHT_NO_SIMD / WHT_NO_RELAYOUT / \
-         WHT_NO_RECODELET / WHT_NO_BATCH; pins: with_exec or the \
-         per-stage with_* builders)"
+         WHT_NO_RECODELET / WHT_NO_BATCH; pin: with_exec)"
     );
     assert_eq!(
         server.evaluations(),

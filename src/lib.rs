@@ -5,14 +5,14 @@
 //!
 //! | crate | contents |
 //! |-------|----------|
-//! | [`core`] (`wht-core`) | split-tree plans, unrolled codelets, the in-place strided interpreter, and the compiled-plan layer ([`CompiledPlan`](wht_core::CompiledPlan)) behind `apply_plan`: a staged lowering pipeline — cache-blocked pass fusion ([`FusionPolicy`](wht_core::FusionPolicy)) → DDL tail relayout ([`RelayoutPolicy`](wht_core::RelayoutPolicy)) → re-codeleting ([`RecodeletPolicy`](wht_core::RecodeletPolicy)) → SIMD lane-block kernel selection ([`SimdPolicy`](wht_core::SimdPolicy)) → batched-small cross-transform scheduling ([`BatchPolicy`](wht_core::BatchPolicy), behind [`CompiledPlan::apply_batch`](wht_core::CompiledPlan::apply_batch)) → streaming-store/prefetch memory codelets for out-of-LLC replay ([`StreamPolicy`](wht_core::StreamPolicy)) — driven by one [`ExecPolicy`](wht_core::ExecPolicy), on by default (every stage has a `WHT_NO_*` kill switch; see `wht_core::env` for the knob table); plus SRHT sketching ([`Srht`](wht_core::Srht)) fused into the batched executor, and the static schedule safety verifier ([`CompiledPlan::verify`](wht_core::CompiledPlan::verify)) proving bounds, write-disjointness, coverage, and scratch sizing of every lowered schedule |
+//! | [`core`] (`wht-core`) | split-tree plans, unrolled codelets, the in-place strided interpreter, and the compiled-plan layer ([`CompiledPlan`](wht_core::CompiledPlan)) behind `apply_plan`: a staged lowering pipeline — cache-blocked pass fusion ([`FusionPolicy`](wht_core::FusionPolicy)) → DDL tail relayout ([`RelayoutPolicy`](wht_core::RelayoutPolicy)) → re-codeleting ([`RecodeletPolicy`](wht_core::RecodeletPolicy)) → SIMD lane-block kernel selection ([`SimdPolicy`](wht_core::SimdPolicy)) → batched-small cross-transform scheduling ([`BatchPolicy`](wht_core::BatchPolicy), behind [`CompiledPlan::apply_batch`](wht_core::CompiledPlan::apply_batch)) → streaming-store/prefetch memory codelets for out-of-LLC replay ([`StreamPolicy`](wht_core::StreamPolicy)) — driven by one [`ExecPolicy`](wht_core::ExecPolicy) — the one way to configure the executor (pin it with [`compiled_for_exec`](wht_core::compiled_for_exec) or [`Planner::with_exec`](wht_search::Planner::with_exec)) — on by default (every stage has a `WHT_NO_*` kill switch; see `wht_core::env` for the knob table); plus SRHT sketching ([`Srht`](wht_core::Srht)) fused into the batched executor, and the static schedule safety verifier ([`CompiledPlan::verify`](wht_core::CompiledPlan::verify)) proving bounds, write-disjointness, coverage, and scratch sizing of every lowered schedule |
 //! | [`space`] (`wht-space`) | algorithm-space counting, enumeration, the recursive-split-uniform sampler |
 //! | [`models`] (`wht-models`) | instruction-count model, direct-mapped cache-miss model, combined model, theory |
 //! | [`cachesim`] (`wht-cachesim`) | set-associative LRU cache simulator (Opteron presets) |
 //! | [`measure`] (`wht-measure`) | timing, instrumented execution, trace-driven miss measurement |
 //! | [`stats`] (`wht-stats`) | Pearson, histograms, IQR fences, pruning curves, grid search |
 //! | [`search`] (`wht-search`) | plan search: the memoized branch-and-bound engine ([`memo_search`](wht_search::memo_search) over a [`MemoTable`](wht_search::MemoTable) of factor-span groups with provenance), the classic DP autotuner ([`dp_search`](wht_search::dp_search)), exhaustive/random/model-pruned strategies, vectored cost backends ([`VectorCost`](wht_search::VectorCost): one term vector, objective-driven weightings via [`CostObjective`](wht_search::CostObjective)), the [`Planner`](wht_search::Planner) facade with wisdom caching, and crash-safe wisdom persistence: the sharded [`ShardedStore`](wht_search::ShardedStore) (atomic commit, typed [`StoreDiagnostic`](wht_search::StoreDiagnostic) quarantine, keep-best merge) with a hermetic fault-injection layer (`wht_search::failpoints`, `WHT_FAILPOINTS`) |
-//! | [`parallel`] (`wht-parallel`) | multi-threaded WHT over a persistent NUMA-aware [`WorkerPool`](wht_parallel::WorkerPool) (zero spawn/join on the warm path, stable shard ranges with work stealing, [`PoolStats`](wht_parallel::PoolStats) introspection), scoped spawn-per-call crews as baseline/overflow, and parallel measurement sweeps |
+//! | [`parallel`] (`wht-parallel`) | multi-threaded WHT over a persistent NUMA-aware [`WorkerPool`](wht_parallel::WorkerPool) (zero spawn/join on the warm path, stable shard ranges with work stealing, [`PoolStats`](wht_parallel::PoolStats) introspection) as the one parallel dispatcher (a crew larger than the pool is capped at its size), and parallel measurement sweeps |
 //!
 //! ## Quick start
 //!
@@ -58,11 +58,10 @@ pub use wht_core::{Plan, WhtError};
 pub mod prelude {
     pub use wht_cachesim::{Cache, CacheConfig, Hierarchy};
     pub use wht_core::{
-        apply_plan, apply_plan_recursive, compiled_for_exec, compiled_for_with, lane_width,
-        naive_wht, parse_plan, to_sequency_order, BatchPolicy, CompiledPlan, ExecPolicy,
-        FusionPolicy, Pass, PassBackend, Plan, Provenance, RecodeletPolicy, Relayout,
-        RelayoutPolicy, Scalar, SimdPolicy, Srht, StreamPolicy, SuperPass, VerifyDiagnostic,
-        VerifyInvariant, WhtError,
+        apply_plan, apply_plan_recursive, compiled_for_exec, lane_width, naive_wht, parse_plan,
+        to_sequency_order, BatchPolicy, CompiledPlan, ExecPolicy, FusionPolicy, Pass, PassBackend,
+        Plan, Provenance, RecodeletPolicy, Relayout, RelayoutPolicy, Scalar, SimdPolicy, Srht,
+        StreamPolicy, SuperPass, VerifyDiagnostic, VerifyInvariant, WhtError,
     };
     pub use wht_measure::{
         batch_op_counts, batch_super_pass_traffic, measure_plan, super_pass_traffic,
@@ -74,8 +73,7 @@ pub mod prelude {
     };
     pub use wht_parallel::{
         measure_sweep, par_apply_batch, par_apply_batch_on, par_apply_compiled,
-        par_apply_compiled_on, par_apply_compiled_scoped, par_apply_plan, PoolStats, Threads,
-        WorkerPool,
+        par_apply_compiled_on, par_apply_plan, PoolStats, Threads, WorkerPool,
     };
     pub use wht_search::{
         atomic_write, dp_search, memo_search, pruned_search, random_search, CombinedModelCost,

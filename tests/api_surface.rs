@@ -81,12 +81,7 @@ fn fusion_layer_through_the_prelude() {
     assert_eq!(par, seq);
 
     // The explicit-policy cache entry point honors every opt-out.
-    let via_cache = compiled_for_with(
-        &plan,
-        &FusionPolicy::disabled(),
-        &RelayoutPolicy::disabled(),
-        &SimdPolicy::disabled(),
-    );
+    let via_cache = compiled_for_exec(&plan, &ExecPolicy::all_disabled());
     assert!(!via_cache.is_fused());
     assert!(!via_cache.is_simd());
     assert!(!via_cache.has_relayout());
@@ -95,11 +90,11 @@ fn fusion_layer_through_the_prelude() {
     assert_eq!(unfused, seq);
 
     // And the SIMD lane backend is prelude-reachable and bit-identical.
-    let lanes = compiled_for_with(
+    let lanes = compiled_for_exec(
         &plan,
-        &FusionPolicy::new(1 << 6),
-        &RelayoutPolicy::disabled(),
-        &SimdPolicy::auto(),
+        &ExecPolicy::all_disabled()
+            .with_fusion(FusionPolicy::new(1 << 6))
+            .with_simd(SimdPolicy::auto()),
     );
     assert!(lanes.is_simd());
     let mut simd = input.clone();

@@ -172,10 +172,10 @@ fn planner_fusion_on_and_off_match_golden_vectors() {
         let floats: Vec<f64> = ints.iter().map(|&v| v as f64).collect();
         let golden_f = naive_wht(&floats);
 
-        let mut fused =
-            Planner::new(InstructionCost::default()).with_fusion(FusionPolicy::new(1 << 8));
-        let mut unfused =
-            Planner::new(InstructionCost::default()).with_fusion(FusionPolicy::disabled());
+        let mut fused = Planner::new(InstructionCost::default())
+            .with_exec(ExecPolicy::from_env().with_fusion(FusionPolicy::new(1 << 8)));
+        let mut unfused = Planner::new(InstructionCost::default())
+            .with_exec(ExecPolicy::from_env().with_fusion(FusionPolicy::disabled()));
 
         let mut a = ints.clone();
         fused.transform(&mut a).unwrap();
@@ -203,7 +203,8 @@ fn planner_fusion_on_and_off_match_golden_vectors() {
 fn wisdom_round_trip_preserves_the_recorded_tile_budget() {
     use wht::core::FusionPolicy;
     let budget = 4096usize;
-    let mut tuned = Planner::new(InstructionCost::default()).with_fusion(FusionPolicy::new(budget));
+    let mut tuned = Planner::new(InstructionCost::default())
+        .with_exec(ExecPolicy::from_env().with_fusion(FusionPolicy::new(budget)));
     let mut x: Vec<f64> = (0..1 << 10).map(|j| (j % 23) as f64 - 11.0).collect();
     let want = naive_wht(&x);
     tuned.transform(&mut x).unwrap();
@@ -213,7 +214,14 @@ fn wisdom_round_trip_preserves_the_recorded_tile_budget() {
     assert!(json.contains("fuse_budget"), "budget must be serialized");
     let restored = Wisdom::from_json(&json).unwrap();
     assert_eq!(&restored, tuned.wisdom());
-    assert_eq!(restored.fuse_budget(10, tuned.backend_name()), Some(budget));
+    let budget = Some(budget as u64);
+    assert_eq!(
+        restored
+            .tuning(10, tuned.backend_name())
+            .unwrap()
+            .fuse_budget,
+        budget
+    );
 
     // A warm import serves the size with zero searches under the
     // recorded budget.
@@ -223,8 +231,11 @@ fn wisdom_round_trip_preserves_the_recorded_tile_budget() {
     assert!(wht::core::max_abs_diff(&y, &want) < 1e-9);
     assert_eq!(warm.evaluations(), 0);
     assert_eq!(
-        warm.wisdom().fuse_budget(10, warm.backend_name()),
-        Some(budget)
+        warm.wisdom()
+            .tuning(10, warm.backend_name())
+            .unwrap()
+            .fuse_budget,
+        budget
     );
 }
 
@@ -241,9 +252,10 @@ fn planner_relayout_round_trips_and_matches_golden_vectors() {
     let ints: Vec<i64> = random_signal(1usize << n, 4242);
     let golden = reference_wht(&ints);
 
-    let mut tuned = Planner::new(InstructionCost::default())
+    let tuned_exec = ExecPolicy::from_env()
         .with_fusion(FusionPolicy::new(1 << 6))
         .with_relayout(RelayoutPolicy::eager(1 << 9));
+    let mut tuned = Planner::new(InstructionCost::default()).with_exec(tuned_exec);
     let mut a = ints.clone();
     tuned.transform(&mut a).unwrap();
     assert_eq!(a, golden, "relayout path must hit the golden vector");
@@ -252,11 +264,15 @@ fn planner_relayout_round_trips_and_matches_golden_vectors() {
     // 0 where its tail is too short to gather.
     let chosen = tuned.plan(n).unwrap().clone();
     let executed = wht::core::CompiledPlan::compile(&chosen)
-        .fuse(&tuned.fusion())
-        .relayout(&tuned.relayout())
+        .fuse(&tuned_exec.fusion)
+        .relayout(&tuned_exec.relayout)
         .has_relayout();
     assert_eq!(
-        tuned.wisdom().relayout_budget(n, tuned.backend_name()),
+        tuned
+            .wisdom()
+            .tuning(n, tuned.backend_name())
+            .unwrap()
+            .relayout,
         Some(if executed { 1 << 9 } else { 0 })
     );
 
@@ -265,9 +281,11 @@ fn planner_relayout_round_trips_and_matches_golden_vectors() {
     let restored = Wisdom::from_json(&json).unwrap();
     assert_eq!(&restored, tuned.wisdom());
 
-    let mut off = Planner::new(InstructionCost::default())
-        .with_fusion(FusionPolicy::new(1 << 6))
-        .with_relayout(RelayoutPolicy::disabled());
+    let mut off = Planner::new(InstructionCost::default()).with_exec(
+        ExecPolicy::from_env()
+            .with_fusion(FusionPolicy::new(1 << 6))
+            .with_relayout(RelayoutPolicy::disabled()),
+    );
     let mut b = ints.clone();
     off.transform(&mut b).unwrap();
     assert_eq!(b, golden, "in-place tail must hit the same golden vector");
