@@ -110,7 +110,7 @@ mod stages;
 mod tests;
 
 pub use policy::{
-    resolve_knob, BatchPolicy, ExecKey, ExecPolicy, FusionPolicy, PolicyKnob, RecodeletPolicy,
+    resolve_knob, BatchPolicy, ExecPolicy, FusionPolicy, PolicyKnob, RecodeletPolicy,
     RelayoutPolicy, StreamPolicy, SMALL_MERGE_ROWS,
 };
 pub use stages::{lowering_stages, LoweringStage};
@@ -1670,9 +1670,10 @@ fn emit(plan: &Plan, total: usize, s: &mut usize, passes: &mut Vec<Pass>) {
 
 const CACHE_CAP: usize = 64;
 
-/// Per-plan cache entries keyed by the full executor configuration
-/// ([`ExecPolicy::cache_key`] — one key covering every lowering stage).
-type ConfigCache = HashMap<ExecKey, Rc<CompiledPlan>>;
+/// Per-plan cache entries keyed by the full executor configuration in
+/// canonical form ([`ExecPolicy::canonical`]: all disabled variants of a
+/// stage are one key).
+type ConfigCache = HashMap<ExecPolicy, Rc<CompiledPlan>>;
 
 thread_local! {
     /// Per-thread schedule cache backing [`compiled_for`]: plans are
@@ -1690,13 +1691,11 @@ fn env_exec_policy() -> &'static ExecPolicy {
 }
 
 /// The lazily-lowered schedule for `plan` under the process-default
-/// [`ExecPolicy`] (fusion **on** unless `WHT_NO_FUSE=1`, tail relayout
-/// **on** past its size threshold unless `WHT_NO_RELAYOUT=1`, relayouted
-/// tails re-codeleted unless `WHT_NO_RECODELET=1`, lane kernels **on**
-/// unless `WHT_NO_SIMD=1`): compiled on first use on this thread, then
-/// served from a bounded per-thread cache. This is what lets
-/// [`crate::apply_plan`] keep its signature while paying the tree walk
-/// once per plan instead of once per call.
+/// [`ExecPolicy`] (every stage at its default unless its `WHT_NO_*` kill
+/// switch is set — see the [`crate::env`] table): compiled on first use
+/// on this thread, then served from a bounded per-thread cache. This is
+/// what lets [`crate::apply_plan`] keep its signature while paying the
+/// tree walk once per plan instead of once per call.
 pub fn compiled_for(plan: &Plan) -> Rc<CompiledPlan> {
     compiled_for_exec(plan, env_exec_policy())
 }
@@ -1707,7 +1706,7 @@ pub fn compiled_for(plan: &Plan) -> Rc<CompiledPlan> {
 /// scalar unfused baseline). Schedules are cached per
 /// `(plan, ExecPolicy)`, so mixed-policy traffic never cross-talks.
 pub fn compiled_for_exec(plan: &Plan, policy: &ExecPolicy) -> Rc<CompiledPlan> {
-    let key = policy.cache_key();
+    let key = policy.canonical();
     PLAN_CACHE.with(|cache| {
         let mut map = cache.borrow_mut();
         if let Some(hit) = map.get(plan).and_then(|by_key| by_key.get(&key)) {

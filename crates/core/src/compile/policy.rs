@@ -31,7 +31,7 @@ use crate::plan::MAX_LEAF_K;
 /// cache level the tiles should live in. The default targets a 1 MiB
 /// L2-ish working set for `f64` data — big tiles shorten the unfusable
 /// large-stride tail, which is where the remaining memory sweeps live.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FusionPolicy {
     /// Maximum tile span in elements; runs fuse only while their combined
     /// block size stays `<=` this. `0` and `1` disable fusion,
@@ -66,38 +66,10 @@ impl FusionPolicy {
         }
     }
 
-    /// Policy from the process environment: `WHT_NO_FUSE=1` disables
-    /// fusion, `WHT_FUSE_BUDGET=<elems>` overrides the tile budget, and
-    /// the default applies otherwise. Read fresh on every call; the
-    /// production entry point ([`crate::compile::compiled_for`]) snapshots
-    /// [`ExecPolicy::from_env`] once per process.
-    ///
-    /// # Panics
-    /// If `WHT_FUSE_BUDGET` is set but malformed (the uniform
-    /// [`crate::env`] contract).
-    pub fn from_env() -> Self {
-        if env::flag("WHT_NO_FUSE") {
-            return FusionPolicy::disabled();
-        }
-        env::parse("WHT_FUSE_BUDGET")
-            .map(FusionPolicy::new)
-            .unwrap_or_default()
-    }
-
     /// `true` if this policy can fuse anything at all (a tile of two
     /// elements is the smallest possible fusion product).
     pub fn enabled(&self) -> bool {
         self.budget_elems >= 2
-    }
-
-    /// Canonical cache key for this policy (all disabled budgets are the
-    /// same policy).
-    pub(crate) fn cache_key(&self) -> usize {
-        if self.enabled() {
-            self.budget_elems
-        } else {
-            0
-        }
     }
 }
 
@@ -113,12 +85,10 @@ impl Default for FusionPolicy {
 /// when the large-stride tail of a fused schedule is rewritten into
 /// gather → unit-stride super-passes → scatter (see the module docs).
 ///
-/// Mirrors [`FusionPolicy`]: the production executor reads it from the
-/// environment once per process (`WHT_NO_RELAYOUT=1` disables,
-/// `WHT_RELAYOUT_THRESHOLD=<elems>` overrides `min_elems`), explicit
-/// policies pin the choice through the API, and the per-thread schedule
-/// cache keys on it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Configured like every stage (see [`ExecPolicy`]): the environment can
+/// only switch it off (the [`crate::env`] table); thresholds are tuned
+/// through [`ExecPolicy::with_relayout`] and `Planner::with_exec`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RelayoutPolicy {
     /// Maximum elements of one gathered block — the scratch working set a
     /// relayouted tail streams through while cache-resident. `0` and `1`
@@ -148,8 +118,8 @@ impl RelayoutPolicy {
     /// 1.1–1.3× at `n >= 24` and is neutral-to-negative below (the
     /// copies are pure overhead while the tail still hits cache), so the
     /// default engages exactly where the win is. Hosts with smaller LLCs
-    /// tune it down via `WHT_RELAYOUT_THRESHOLD`; wisdom entries tune it
-    /// per size.
+    /// tune it down through [`ExecPolicy::with_relayout`]; wisdom entries
+    /// tune it per size.
     pub const DEFAULT_MIN_ELEMS: usize = 1 << 24;
 
     /// Default minimum tail length: gather + scatter cost about two full
@@ -191,40 +161,10 @@ impl RelayoutPolicy {
         }
     }
 
-    /// Policy from the process environment: `WHT_NO_RELAYOUT=1` disables
-    /// relayout, `WHT_RELAYOUT_THRESHOLD=<elems>` overrides the
-    /// engagement size floor, and the default applies otherwise. Read
-    /// fresh on every call; the production entry point snapshots
-    /// [`ExecPolicy::from_env`] once per process.
-    ///
-    /// # Panics
-    /// If `WHT_RELAYOUT_THRESHOLD` is set but malformed (the uniform
-    /// [`crate::env`] contract).
-    pub fn from_env() -> Self {
-        if env::flag("WHT_NO_RELAYOUT") {
-            return RelayoutPolicy::disabled();
-        }
-        let mut policy = RelayoutPolicy::default();
-        if let Some(min_elems) = env::parse("WHT_RELAYOUT_THRESHOLD") {
-            policy.min_elems = min_elems;
-        }
-        policy
-    }
-
     /// `true` if this policy can relayout anything at all (a gathered
     /// block of two rows is the smallest possible tail).
     pub fn enabled(&self) -> bool {
         self.budget_elems >= 2
-    }
-
-    /// Canonical cache key for this policy (all disabled policies are the
-    /// same policy).
-    pub(crate) fn cache_key(&self) -> (usize, usize, usize) {
-        if self.enabled() {
-            (self.budget_elems, self.min_elems, self.min_passes)
-        } else {
-            (0, 0, 0)
-        }
     }
 }
 
@@ -262,7 +202,7 @@ impl Default for RelayoutPolicy {
 /// are always allowed whatever the span: size-8 codelets at huge strides
 /// are the well-measured `blocked8` shape (1.45× over radix-2 at equal
 /// flops).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RecodeletPolicy {
     /// Largest merged codelet exponent: chained factors merge while
     /// their combined exponent stays `<=` this (capped at
@@ -315,46 +255,10 @@ impl RecodeletPolicy {
         }
     }
 
-    /// Policy from the process environment: `WHT_NO_RECODELET=1`
-    /// disables the stage, `WHT_RECODELET_MAX_K=<k>` overrides the
-    /// merged-codelet cap, `WHT_RECODELET_FOOTPRINT=<elems>` the per-call
-    /// footprint cap, and the defaults apply otherwise.
-    ///
-    /// # Panics
-    /// If `WHT_RECODELET_MAX_K` is set but malformed or exceeds
-    /// [`MAX_LEAF_K`] (the uniform [`crate::env`] contract: a knob that
-    /// cannot mean what it says must crash, not silently clamp), or
-    /// `WHT_RECODELET_FOOTPRINT` is malformed.
-    pub fn from_env() -> Self {
-        if env::flag("WHT_NO_RECODELET") {
-            return RecodeletPolicy::disabled();
-        }
-        let mut policy = RecodeletPolicy::default();
-        if let Some(k) = env::parse("WHT_RECODELET_MAX_K") {
-            policy.max_k = u32::try_from(k).ok().filter(|&k| k <= MAX_LEAF_K).unwrap_or_else(|| {
-                panic!("WHT_RECODELET_MAX_K must be a codelet exponent in 0..={MAX_LEAF_K}, got {k}")
-            });
-        }
-        if let Some(footprint) = env::parse("WHT_RECODELET_FOOTPRINT") {
-            policy.footprint_elems = footprint;
-        }
-        policy
-    }
-
     /// `true` if this policy can merge anything at all (the smallest
     /// merge is two `small[1]` factors into a `small[2]`).
     pub fn enabled(&self) -> bool {
         self.max_k >= 2
-    }
-
-    /// Canonical cache key for this policy (all disabled policies are the
-    /// same policy).
-    pub(crate) fn cache_key(&self) -> (u32, usize) {
-        if self.enabled() {
-            (self.max_k, self.footprint_elems)
-        } else {
-            (0, 0)
-        }
     }
 }
 
@@ -378,10 +282,10 @@ impl Default for RecodeletPolicy {
 /// lane block) runs full-width *across* transforms; the two transposes
 /// cost about two sweeps of the group, so the path only pays off once
 /// enough rows amortize them. `block_rows` is that measured engagement
-/// threshold. Mirrors [`FusionPolicy`]: environment (`WHT_NO_BATCH=1`
-/// disables, `WHT_BATCH_BLOCK=<rows>` overrides the threshold), explicit
-/// policies pin through the API, and the schedule cache keys on it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// threshold. Configured like every stage (see [`ExecPolicy`]): the
+/// environment can only switch it off (the [`crate::env`] table); the
+/// threshold is tuned through [`ExecPolicy::with_batch`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BatchPolicy {
     /// Minimum batch rows at which [`CompiledPlan::apply_batch`](crate::compile::CompiledPlan::apply_batch)
     /// engages the cross-transform path (batches below it — and the
@@ -414,38 +318,10 @@ impl BatchPolicy {
         BatchPolicy { block_rows: 0 }
     }
 
-    /// Policy from the process environment: `WHT_NO_BATCH=1` disables the
-    /// stage, `WHT_BATCH_BLOCK=<rows>` overrides the engagement threshold
-    /// (`0` also disables), and the default applies otherwise. Read fresh
-    /// on every call; the production entry point snapshots
-    /// [`ExecPolicy::from_env`] once per process.
-    ///
-    /// # Panics
-    /// If `WHT_BATCH_BLOCK` is set but malformed (the uniform
-    /// [`crate::env`] contract).
-    pub fn from_env() -> Self {
-        if env::flag("WHT_NO_BATCH") {
-            return BatchPolicy::disabled();
-        }
-        env::parse("WHT_BATCH_BLOCK")
-            .map(BatchPolicy::new)
-            .unwrap_or_default()
-    }
-
     /// `true` if this policy can batch anything at all (a threshold of one
     /// row engages whenever a full lane group exists).
     pub fn enabled(&self) -> bool {
         self.block_rows >= 1
-    }
-
-    /// Canonical cache key for this policy (all disabled policies are the
-    /// same policy).
-    pub(crate) fn cache_key(&self) -> usize {
-        if self.enabled() {
-            self.block_rows
-        } else {
-            0
-        }
     }
 }
 
@@ -472,11 +348,11 @@ impl Default for BatchPolicy {
 /// an `sfence` at the end of every streamed sweep keeps the ordering
 /// argument of the parallel engine's per-unit barriers unchanged.
 ///
-/// Mirrors the other stages: environment (`WHT_NO_STREAM=1` disables,
-/// `WHT_STREAM_THRESHOLD=<elems>` overrides the floor), explicit policies
-/// pin through the API, wisdom records/replays it per size (Tuning v7),
-/// and the schedule cache keys on it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Configured like every stage (see [`ExecPolicy`]): the environment can
+/// only switch it off (the [`crate::env`] table), the floor is tuned
+/// through [`ExecPolicy::with_stream`], and wisdom records/replays it per
+/// size (Tuning v7).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct StreamPolicy {
     /// Vector size (elements) below which the copy sweeps keep cached
     /// stores. `usize::MAX` disables streaming entirely; `0` streams at
@@ -513,24 +389,6 @@ impl StreamPolicy {
         StreamPolicy { min_elems: 0 }
     }
 
-    /// Policy from the process environment: `WHT_NO_STREAM=1` disables
-    /// streaming, `WHT_STREAM_THRESHOLD=<elems>` overrides the engagement
-    /// floor, and the default applies otherwise. Read fresh on every
-    /// call; the production entry point snapshots
-    /// [`ExecPolicy::from_env`] once per process.
-    ///
-    /// # Panics
-    /// If `WHT_STREAM_THRESHOLD` is set but malformed (the uniform
-    /// [`crate::env`] contract).
-    pub fn from_env() -> Self {
-        if env::flag("WHT_NO_STREAM") {
-            return StreamPolicy::disabled();
-        }
-        env::parse("WHT_STREAM_THRESHOLD")
-            .map(StreamPolicy::new)
-            .unwrap_or_default()
-    }
-
     /// `true` if this policy can stream anything at all.
     pub fn enabled(&self) -> bool {
         self.min_elems != usize::MAX
@@ -540,16 +398,6 @@ impl StreamPolicy {
     /// floor — the per-schedule gate the lowering stage applies.
     pub fn engages(&self, elems: usize) -> bool {
         self.enabled() && elems >= self.min_elems
-    }
-
-    /// Canonical cache key for this policy (all disabled policies are the
-    /// same policy).
-    pub(crate) fn cache_key(&self) -> usize {
-        if self.enabled() {
-            self.min_elems
-        } else {
-            usize::MAX
-        }
     }
 }
 
@@ -563,9 +411,9 @@ impl Default for StreamPolicy {
 
 /// The full executor configuration, as **one value**: every stage of the
 /// lowering pipeline (fuse → relayout → re-codelet → backend-select) reads
-/// its policy from here, the per-thread schedule cache keys on
-/// [`ExecPolicy::cache_key`], and `wht_search` records/replays it per
-/// wisdom entry.
+/// its policy from here, the per-thread schedule cache keys on it (with
+/// every disabled stage made canonical), and `wht_search` records/replays
+/// it per wisdom entry.
 ///
 /// ## Where a policy comes from (precedence)
 ///
@@ -580,12 +428,12 @@ impl Default for StreamPolicy {
 ///    stage (`WHT_NO_*` kill switches, which wisdom must never
 ///    re-enable), or no tuning was recorded, in which case the
 ///    environment snapshot applies ([`ExecPolicy::from_env`]).
-/// 4. **Default** — with no environment override, the documented
-///    per-stage defaults.
+/// 4. **Default** — the documented per-stage defaults; the environment
+///    can only switch a stage off, so every other setting is an API value.
 ///
 /// [`resolve_knob`] is that rule as code; every knob resolves through it
 /// exactly once per compiled schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct ExecPolicy {
     /// Cache-blocked prefix fusion (stage 1).
     pub fusion: FusionPolicy,
@@ -601,31 +449,54 @@ pub struct ExecPolicy {
     pub stream: StreamPolicy,
 }
 
-/// One cache key covering every knob of an [`ExecPolicy`] (see
-/// [`ExecPolicy::cache_key`]).
-pub type ExecKey = (
-    usize,
-    (usize, usize, usize),
-    (u32, usize),
-    bool,
-    usize,
-    usize,
-);
-
 impl ExecPolicy {
-    /// The whole executor configuration from the process environment —
-    /// one read for every `WHT_*` knob (see [`crate::env`] for the
+    /// The whole executor configuration from the process environment: the
+    /// defaults, with each stage whose `WHT_NO_*` kill switch is set
+    /// replaced by its `disabled()` policy (see [`crate::env`] for the
     /// table). The production entry point
     /// ([`crate::compile::compiled_for`]) snapshots this once per
     /// process.
     pub fn from_env() -> Self {
+        let mut policy = ExecPolicy::default();
+        if env::flag("WHT_NO_FUSE") {
+            policy.fusion = FusionPolicy::disabled();
+        }
+        if env::flag("WHT_NO_RELAYOUT") {
+            policy.relayout = RelayoutPolicy::disabled();
+        }
+        if env::flag("WHT_NO_RECODELET") {
+            policy.recodelet = RecodeletPolicy::disabled();
+        }
+        if env::flag("WHT_NO_SIMD") {
+            policy.simd = SimdPolicy::disabled();
+        }
+        if env::flag("WHT_NO_BATCH") {
+            policy.batch = BatchPolicy::disabled();
+        }
+        if env::flag("WHT_NO_STREAM") {
+            policy.stream = StreamPolicy::disabled();
+        }
+        policy
+    }
+
+    /// This policy with every disabled stage replaced by that stage's
+    /// `disabled()` value. All disabled variants of a stage lower to the
+    /// same schedule, so the schedule cache keys on this form.
+    pub(crate) fn canonical(&self) -> Self {
+        fn off<P: PolicyKnob>(policy: P, disabled: P) -> P {
+            if policy.enabled() {
+                policy
+            } else {
+                disabled
+            }
+        }
         ExecPolicy {
-            fusion: FusionPolicy::from_env(),
-            relayout: RelayoutPolicy::from_env(),
-            recodelet: RecodeletPolicy::from_env(),
-            simd: SimdPolicy::from_env(),
-            batch: BatchPolicy::from_env(),
-            stream: StreamPolicy::from_env(),
+            fusion: off(self.fusion, FusionPolicy::disabled()),
+            relayout: off(self.relayout, RelayoutPolicy::disabled()),
+            recodelet: off(self.recodelet, RecodeletPolicy::disabled()),
+            simd: off(self.simd, SimdPolicy::disabled()),
+            batch: off(self.batch, BatchPolicy::disabled()),
+            stream: off(self.stream, StreamPolicy::disabled()),
         }
     }
 
@@ -683,21 +554,6 @@ impl ExecPolicy {
     pub fn with_stream(mut self, stream: StreamPolicy) -> Self {
         self.stream = stream;
         self
-    }
-
-    /// Canonical schedule-cache key: one tuple covering every knob, with
-    /// all disabled variants of a stage collapsing to the same key. This
-    /// is **the** cache key — adding a lowering stage means adding a
-    /// component here, not a new cache layer.
-    pub fn cache_key(&self) -> ExecKey {
-        (
-            self.fusion.cache_key(),
-            self.relayout.cache_key(),
-            self.recodelet.cache_key(),
-            self.simd.enabled(),
-            self.batch.cache_key(),
-            self.stream.cache_key(),
-        )
     }
 }
 

@@ -3,13 +3,14 @@
 //!
 //! Each stage is a policy-gated, schedule-to-schedule rewrite that
 //! preserves output bits (each stage's own docs carry the argument).
-//! PRs used to bolt each new rewrite onto the executor ad hoc — policy,
-//! env mirror, cache key, and call-site plumbing re-implemented per
-//! stage; a new rewrite now implements [`LoweringStage`], claims a field
-//! in [`ExecPolicy`] (which extends the one cache key), and takes its
-//! place in [`lowering_stages`] — everything downstream (executor,
-//! parallel engine, measurement, search, wisdom) consumes the lowered
-//! schedule generically.
+//! A new rewrite implements [`LoweringStage`], claims a field in
+//! [`ExecPolicy`] (the schedule cache keys on the whole policy, so the
+//! field is part of the key with no further code), adds one `WHT_NO_*`
+//! kill-switch line to [`ExecPolicy::from_env`], one wisdom `Tuning`
+//! field with its `Planner::resolved_exec` line, and takes its place in
+//! [`lowering_stages`] — everything downstream (executor, parallel
+//! engine, measurement, search) consumes the lowered schedule
+//! generically.
 
 use super::{CompiledPlan, ExecPolicy};
 

@@ -297,15 +297,6 @@ fn relayout_env_policy_constructors() {
         RelayoutPolicy::DEFAULT_BUDGET_ELEMS
     );
     assert_eq!(RelayoutPolicy::eager(64).min_elems, 0);
-    assert_eq!(
-        RelayoutPolicy::disabled().cache_key(),
-        RelayoutPolicy {
-            budget_elems: 0,
-            min_elems: 99,
-            min_passes: 3
-        }
-        .cache_key()
-    );
 }
 
 // ---------------------------------------------------------------------------
@@ -599,33 +590,47 @@ fn lower_runs_the_documented_stage_order() {
 }
 
 #[test]
-fn exec_policy_cache_keys_cover_every_stage() {
+fn schedule_cache_covers_every_stage() {
+    // The schedule cache keys on the canonical policy: two disabled
+    // variants of one stage share an entry (the same `Rc`), and any
+    // enabled setting that differs gets its own.
+    let plan = Plan::iterative(10).unwrap();
+    let cached = |p: ExecPolicy| compiled_for_exec(&plan, &p);
     let base = ExecPolicy::default();
-    assert_eq!(base.cache_key(), ExecPolicy::default().cache_key());
+    assert!(Rc::ptr_eq(&cached(base), &cached(ExecPolicy::default())));
+    let odd_relayout = RelayoutPolicy {
+        budget_elems: 0,
+        min_elems: 99,
+        min_passes: 3,
+    };
+    for [a, b] in [
+        [FusionPolicy::new(1), FusionPolicy::disabled()].map(|f| base.with_fusion(f)),
+        [RelayoutPolicy::new(1), RelayoutPolicy::disabled()].map(|r| base.with_relayout(r)),
+        [odd_relayout, RelayoutPolicy::disabled()].map(|r| base.with_relayout(r)),
+        [RecodeletPolicy::new(1), RecodeletPolicy::disabled()].map(|r| base.with_recodelet(r)),
+        [RecodeletPolicy::new(0), RecodeletPolicy::disabled()].map(|r| base.with_recodelet(r)),
+        [BatchPolicy { block_rows: 0 }, BatchPolicy::disabled()].map(|b| base.with_batch(b)),
+        [
+            ExecPolicy::all_disabled().with_fusion(FusionPolicy::new(0)),
+            ExecPolicy::all_disabled(),
+        ],
+    ] {
+        assert!(Rc::ptr_eq(&cached(a), &cached(b)), "{a:?} vs {b:?}");
+    }
     for changed in [
         base.with_fusion(FusionPolicy::new(1 << 4)),
         base.with_relayout(RelayoutPolicy::eager(1 << 4)),
         base.with_recodelet(RecodeletPolicy::new(3)),
+        base.with_recodelet(RecodeletPolicy {
+            footprint_elems: 64,
+            ..RecodeletPolicy::default()
+        }),
         base.with_simd(SimdPolicy::disabled()),
         base.with_batch(BatchPolicy::new(64)),
+        base.with_stream(StreamPolicy::eager()),
     ] {
-        assert_ne!(changed.cache_key(), base.cache_key(), "{changed:?}");
+        assert!(!Rc::ptr_eq(&cached(changed), &cached(base)), "{changed:?}");
     }
-    // All disabled variants of one stage share a key.
-    assert_eq!(
-        base.with_recodelet(RecodeletPolicy::disabled()).cache_key(),
-        base.with_recodelet(RecodeletPolicy::new(1)).cache_key()
-    );
-    assert_eq!(
-        base.with_batch(BatchPolicy::disabled()).cache_key(),
-        base.with_batch(BatchPolicy { block_rows: 0 }).cache_key()
-    );
-    assert_eq!(
-        ExecPolicy::all_disabled().cache_key(),
-        ExecPolicy::all_disabled()
-            .with_fusion(FusionPolicy::new(0))
-            .cache_key()
-    );
 }
 
 #[test]
@@ -757,7 +762,7 @@ fn cached_compile_returns_identical_schedule() {
     // Distinct policies are distinct cache entries. (Comparisons are
     // against schedules built under the same env SimdPolicy, so the
     // test holds on every CI leg.)
-    let env_simd = SimdPolicy::from_env();
+    let env_simd = ExecPolicy::from_env().simd;
     let base = ExecPolicy::all_disabled().with_simd(env_simd);
     let unfused = compiled_for_exec(&plan, &base);
     assert_eq!(*unfused, CompiledPlan::compile(&plan).with_simd(&env_simd));
@@ -870,7 +875,7 @@ fn budget_sweeps_stay_correct_across_cache_eviction() {
             &plan,
             &ExecPolicy::all_disabled()
                 .with_fusion(FusionPolicy::new(b + 2))
-                .with_simd(SimdPolicy::from_env()),
+                .with_simd(ExecPolicy::from_env().simd),
         );
         assert_eq!(c.passes(), reference.passes(), "budget {}", b + 2);
     }
@@ -941,10 +946,6 @@ fn env_policy_constructors() {
         FusionPolicy::default().budget_elems,
         FusionPolicy::DEFAULT_BUDGET_ELEMS
     );
-    assert_eq!(
-        FusionPolicy::disabled().cache_key(),
-        FusionPolicy::new(1).cache_key()
-    );
     assert!(!RecodeletPolicy::disabled().enabled());
     assert!(!RecodeletPolicy::new(1).enabled());
     assert!(RecodeletPolicy::new(2).enabled());
@@ -957,19 +958,11 @@ fn env_policy_constructors() {
         RecodeletPolicy::DEFAULT_FOOTPRINT_ELEMS
     );
     assert_eq!(RecodeletPolicy::new(99).max_k, crate::plan::MAX_LEAF_K);
-    assert_eq!(
-        RecodeletPolicy::disabled().cache_key(),
-        RecodeletPolicy::new(0).cache_key()
-    );
     assert!(!BatchPolicy::disabled().enabled());
     assert!(BatchPolicy::new(1).enabled());
     assert_eq!(
         BatchPolicy::default().block_rows,
         BatchPolicy::DEFAULT_BLOCK_ROWS
-    );
-    assert_eq!(
-        BatchPolicy::disabled().cache_key(),
-        BatchPolicy { block_rows: 0 }.cache_key()
     );
 }
 

@@ -55,7 +55,8 @@ use crate::scalar::Scalar;
 /// walk, every later call replays the flat schedule with zero recursion.
 /// The schedule is **fused by default** — consecutive small-stride passes
 /// are merged into cache-blocked super-passes under the process
-/// [`crate::compile::FusionPolicy`] (opt out with `WHT_NO_FUSE=1`, or call
+/// [`crate::compile::ExecPolicy`] (every stage can be switched off by its
+/// kill switch in the [`crate::env`] table, or pinned by calling
 /// [`crate::compile::compiled_for_exec`] with an explicit policy). The
 /// result is bit-identical to the recursive interpreter either way (see
 /// the `compile` module docs); callers that specifically want the paper's

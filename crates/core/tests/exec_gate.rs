@@ -1,153 +1,69 @@
-//! CI gate for the executor test matrix — the one harness for every
-//! lowering-stage axis (it replaces the former `fusion_gate.rs` /
-//! `simd_gate.rs` / `relayout_gate.rs` triplets).
+//! CI gate for the environment: the process-default executor is exactly
+//! the one the set `WHT_NO_*` kill switches describe.
 //!
-//! Each CI leg runs the whole suite under one combination of the `WHT_NO_*`
-//! kill switches (fused default, unfused, scalar kernels, in-place tail,
-//! per-row batch fallback, and **all off** — the pure scalar unfused
-//! baseline). This test fails the
-//! leg if the production path does not match the environment — i.e. if a
-//! misconfigured matrix would silently test one executor twice and skip
-//! another. One table drives every axis: adding a lowering stage means
-//! adding a row, not a file.
+//! The environment can only switch lowering stages off (and size the crew
+//! with `WHT_THREADS`); what each executor configuration compiles and
+//! computes is tested in-process, over every policy point, by the facade's
+//! `tests/exec_matrix.rs`. This gate only checks the env plumbing, so a CI
+//! leg whose environment does not reach the production path fails instead
+//! of silently re-testing the default executor.
 
-use wht_core::{compiled_for, env, ExecPolicy, PassBackend, Plan, RelayoutPolicy};
+use wht_core::{
+    compiled_for, env, BatchPolicy, CompiledPlan, ExecPolicy, FusionPolicy, Plan, RecodeletPolicy,
+    RelayoutPolicy, SimdPolicy, StreamPolicy,
+};
 
-/// The kill switches, read with the same contract the policies use.
-fn switches() -> (bool, bool, bool, bool, bool, bool) {
-    (
-        env::flag("WHT_NO_FUSE"),
-        env::flag("WHT_NO_SIMD"),
-        env::flag("WHT_NO_RELAYOUT"),
-        env::flag("WHT_NO_RECODELET"),
-        env::flag("WHT_NO_BATCH"),
-        env::flag("WHT_NO_STREAM"),
-    )
+/// The policy the set kill switches describe: the defaults, with each
+/// switched-off stage at its `disabled()` value.
+fn switched_policy() -> ExecPolicy {
+    let mut policy = ExecPolicy::default();
+    if env::flag("WHT_NO_FUSE") {
+        policy = policy.with_fusion(FusionPolicy::disabled());
+    }
+    if env::flag("WHT_NO_SIMD") {
+        policy = policy.with_simd(SimdPolicy::disabled());
+    }
+    if env::flag("WHT_NO_RELAYOUT") {
+        policy = policy.with_relayout(RelayoutPolicy::disabled());
+    }
+    if env::flag("WHT_NO_RECODELET") {
+        policy = policy.with_recodelet(RecodeletPolicy::disabled());
+    }
+    if env::flag("WHT_NO_BATCH") {
+        policy = policy.with_batch(BatchPolicy::disabled());
+    }
+    if env::flag("WHT_NO_STREAM") {
+        policy = policy.with_stream(StreamPolicy::disabled());
+    }
+    policy
 }
 
 #[test]
 fn executor_paths_match_the_environment() {
-    let (no_fuse, no_simd, no_relayout, no_recodelet, no_batch, no_stream) = switches();
-    // The env-derived policy must reflect every switch — one snapshot,
-    // one assertion per axis.
-    let policy = ExecPolicy::from_env();
-    for (axis, enabled, killed) in [
-        ("fusion", policy.fusion.enabled(), no_fuse),
-        ("simd", policy.simd.enabled(), no_simd),
-        ("relayout", policy.relayout.enabled(), no_relayout),
-        ("recodelet", policy.recodelet.enabled(), no_recodelet),
-        ("batch", policy.batch.enabled(), no_batch),
-        ("stream", policy.stream.enabled(), no_stream),
-    ] {
+    let policy = switched_policy();
+    assert_eq!(
+        ExecPolicy::from_env(),
+        policy,
+        "ExecPolicy::from_env() disagrees with the set kill switches"
+    );
+    // The production schedule cache must serve exactly that policy's
+    // schedule. n = 26 is past every default engagement floor (relayout,
+    // stream) and n = 12 carries a batch schedule, so between them every
+    // stage's switch changes what is compared; compiling touches no data.
+    for n in [12u32, 26] {
+        let plan = Plan::iterative(n).unwrap();
         assert_eq!(
-            enabled, !killed,
-            "ExecPolicy::from_env() disagrees with the {axis} kill switch"
+            *compiled_for(&plan),
+            CompiledPlan::compile_exec(&plan, &policy),
+            "apply_plan would run a schedule this leg's environment does not describe (n = {n})"
         );
     }
+}
 
-    // ...and the production schedule cache must actually be compiling the
-    // path the leg claims to test. One size covers every axis: compiling
-    // touches no data, so a 2^26-element plan is cheap, it is past the
-    // default relayout engagement floor, iterative(26) fuses under any
-    // enabled default-scale budget, and its relayouted tail re-codelets.
-    let n = 26u32;
-    assert!(
-        (1usize << n) >= RelayoutPolicy::default().min_elems,
-        "gate size must clear the default engagement threshold"
-    );
-    let compiled = compiled_for(&Plan::iterative(n).unwrap());
-    // Fusion is checked through per-stage provenance, not the structural
-    // is_fused(): a relayout unit is multi-part whatever the fuse stage
-    // did, so only the stage stamp distinguishes the unfused leg here.
-    assert_eq!(
-        compiled
-            .super_passes()
-            .iter()
-            .any(|sp| sp.provenance().fused),
-        !no_fuse,
-        "apply_plan would execute the wrong fusion path for this CI leg"
-    );
-    assert_eq!(
-        compiled.is_simd(),
-        !no_simd,
-        "apply_plan would execute the wrong kernel backend for this CI leg"
-    );
-    let backend = if no_simd {
-        PassBackend::Scalar
-    } else {
-        PassBackend::Lanes
-    };
-    assert!(
-        compiled
-            .super_passes()
-            .iter()
-            .all(|sp| sp.backend() == backend),
-        "schedule records a mixed or wrong backend for this CI leg"
-    );
-    assert_eq!(
-        compiled.has_relayout(),
-        !no_relayout,
-        "apply_plan would execute the wrong tail for this CI leg"
-    );
-    // The re-codelet stage merges within multi-factor units, so it has
-    // something to rewrite whenever fusion or relayout produced one (the
-    // all-off baseline has only single-factor sweeps).
-    assert_eq!(
-        compiled.has_recodeleted(),
-        !no_recodelet && (!no_fuse || !no_relayout),
-        "apply_plan would execute the wrong codelet grouping for this CI leg"
-    );
-
-    // The batch axis gates a separate product (a BatchSchedule beside the
-    // schedule, used only by apply_batch), and it has a size cap the
-    // other axes don't: the 2^26 gate plan is past BATCH_MAX_ELEMS, so it
-    // must never carry one — a small compile checks the switch itself.
-    assert!(
-        compiled.batch_schedule().is_none(),
-        "a transform past the batch size cap must not carry a batch schedule"
-    );
-    let small = compiled_for(&Plan::iterative(12).unwrap());
-    assert_eq!(
-        small.batch_schedule().is_some(),
-        !no_batch,
-        "apply_batch would take the wrong path for this CI leg"
-    );
-
-    if !no_relayout {
-        let tail = compiled
-            .super_passes()
-            .iter()
-            .find(|sp| sp.is_relayout())
-            .expect("checked above");
-        let rl = tail.relayout().unwrap();
-        assert_eq!(rl.rows * rl.row_stride, compiled.size());
-        assert!(tail.tile_elems() <= RelayoutPolicy::default().budget_elems);
-        if !no_recodelet {
-            assert!(
-                tail.provenance().recodeleted > 0,
-                "the re-codeleted tail must say which stage rewrote it"
-            );
-        }
-        // 2^26 elements is past the default out-of-LLC streaming floor,
-        // so the relayout tail's gather/scatter must run the streamed
-        // memory codelets exactly when the leg says streaming is on.
-        assert_eq!(
-            tail.provenance().streamed,
-            !no_stream,
-            "the relayout tail would run the wrong memory codelets for this CI leg"
-        );
-    }
-    // Streaming only rewrites relayout gather/scatter sweeps, so the
-    // schedule-level stamp follows both switches together.
-    assert_eq!(
-        compiled.has_streamed(),
-        !no_stream && !no_relayout,
-        "apply_plan would run the wrong memory path for this CI leg"
-    );
-
-    // Crew-size coherence for the pinned leg: the engine's
-    // `Threads::default()` and the bench binaries both resolve through
-    // `env::threads()`, and when the matrix pins `WHT_THREADS` the
+#[test]
+fn pinned_threads_are_what_the_crew_resolution_reports() {
+    // The engine's `Threads::default()` and the bench binaries both
+    // resolve through `env::threads()`; when `WHT_THREADS` is pinned the
     // resolution must honor the pin exactly (empty counts as unset).
     assert!(env::threads() >= 1);
     if let Ok(raw) = std::env::var("WHT_THREADS") {
@@ -158,19 +74,5 @@ fn executor_paths_match_the_environment() {
                 "a pinned WHT_THREADS must be what the crew resolution reports"
             );
         }
-    }
-
-    // The all-off leg pins the pure scalar unfused in-place baseline:
-    // every unit is a trivial single-factor, single-tile, scalar-backend
-    // super-pass — nothing the pipeline could have rewritten survives.
-    if no_fuse && no_simd && no_relayout {
-        assert!(compiled.super_passes().iter().all(|sp| {
-            sp.parts().len() == 1
-                && sp.tiles() == 1
-                && sp.backend() == PassBackend::Scalar
-                && !sp.is_relayout()
-                && sp.provenance() == wht_core::Provenance::default()
-        }));
-        assert_eq!(compiled.super_passes().len(), compiled.passes().len());
     }
 }

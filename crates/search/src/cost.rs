@@ -523,11 +523,10 @@ impl FusedTrafficCost {
     }
 }
 
-/// The process-default executor (lane kernels unless `WHT_NO_SIMD=1`,
-/// tail relayout per `WHT_NO_RELAYOUT` / `WHT_RELAYOUT_THRESHOLD`,
-/// re-codeleting per `WHT_NO_RECODELET`, …) with fusion at its default
-/// budget — so a default-built cost model ranks plans for the executor
-/// this process actually runs.
+/// The process-default executor ([`ExecPolicy::from_env`]: every stage
+/// on unless its kill switch in the `wht_core::env` table is set) with
+/// fusion at its default budget — so a default-built cost model ranks
+/// plans for the executor this process actually runs.
 impl Default for FusedTrafficCost {
     fn default() -> Self {
         FusedTrafficCost::with_exec(ExecPolicy::from_env().with_fusion(FusionPolicy::default()))

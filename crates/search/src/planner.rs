@@ -15,10 +15,10 @@
 //!    composition won each searched size and why.
 //! 2. The chosen plan is lowered through the staged pipeline of
 //!    `wht_core::compile` under one **resolved** [`ExecPolicy`]
-//!    (fuse → relayout → re-codelet → kernel backend → batch), and the
-//!    compiled schedule is cached — steady-state traffic is a wisdom hit
-//!    plus a flat schedule replay: zero cost evaluations, zero tree
-//!    walks.
+//!    (fuse → relayout → re-codelet → kernel backend → batch → stream),
+//!    and the compiled schedule is cached — steady-state traffic is a
+//!    wisdom hit plus a flat schedule replay: zero cost evaluations, zero
+//!    tree walks.
 //! 3. Wisdom round-trips through JSON ([`Wisdom::to_json`] /
 //!    [`Wisdom::from_json`], or [`Wisdom::save`] / [`Wisdom::load`]), so a
 //!    fleet can ship pre-tuned wisdom and a fresh process starts warm —
@@ -49,7 +49,7 @@
 //!   whether the recorder's executor ran with the streaming-store /
 //!   prefetch memory codelets enabled (lowering stage 6). An on/off
 //!   record only: the stage's engagement threshold
-//!   (`WHT_STREAM_THRESHOLD`) is host tuning, so an importer replaying
+//!   (`StreamPolicy::min_elems`) is host tuning, so an importer replaying
 //!   `Some(true)` uses its *own* policy's threshold — and the stage is
 //!   bit-identical either way, so a migrated replay cannot change
 //!   output. Version-6 blobs load transparently (no choice recorded).
@@ -216,10 +216,10 @@ pub(crate) struct WisdomRecord {
     pub(crate) measured_ns: Option<u64>,
 }
 
-/// Serialized wisdom entry, current (version-6) shape: the plan travels
-/// as its WHT-package grammar string (stable, human-readable, validated
-/// on parse), the executor tuning as one nested [`Tuning`] record, plus
-/// the optional provenance and measurement columns.
+/// Serialized wisdom entry, current ([`WISDOM_VERSION`]) shape: the plan
+/// travels as its WHT-package grammar string (stable, human-readable,
+/// validated on parse), the executor tuning as one nested [`Tuning`]
+/// record, plus the optional provenance and measurement columns.
 #[derive(Debug, Clone, Serialize)]
 struct WisdomEntryOut {
     n: u32,
@@ -452,7 +452,8 @@ impl Wisdom {
     }
 
     /// Render the store as JSON (entries sorted for determinism), in the
-    /// current (version-6) format.
+    /// current format (the newest version in the module docs' format
+    /// history).
     pub fn to_json(&self) -> String {
         let mut entries: Vec<WisdomEntryOut> = self
             .entries
@@ -477,7 +478,7 @@ impl Wisdom {
     }
 
     /// Parse a store from JSON, validating every plan. Version-1 through
-    /// version-3 stores migrate transparently (see the module docs'
+    /// version-6 stores migrate transparently (see the module docs'
     /// format history) and re-serialize as the current version.
     ///
     /// # Errors
@@ -882,8 +883,8 @@ impl<C: PlanCost> Planner<C> {
                 // The record is a bool (the stage's shape knobs are
                 // host-tuning, not per-size wisdom), so a recorded *on*
                 // replays through the reader's own policy — preserving
-                // its WHT_RECODELET_* environment tuning — rather than
-                // clobbering it with the compiled-in default.
+                // its shape tuning (`ExecPolicy::with_recodelet`) — rather
+                // than clobbering it with the compiled-in default.
                 t.recodelet.map(|on| {
                     if on {
                         self.exec.recodelet
@@ -908,7 +909,7 @@ impl<C: PlanCost> Planner<C> {
                 // On/off record, like `recodelet`: the engagement
                 // threshold is host tuning, so a recorded *on* replays
                 // through the reader's own policy (preserving its
-                // WHT_STREAM_THRESHOLD environment tuning).
+                // threshold tuning, `ExecPolicy::with_stream`).
                 t.stream.map(|on| {
                     if on {
                         self.exec.stream
@@ -1582,9 +1583,9 @@ mod tests {
             )
             .unwrap();
         let mut warm = Planner::new(InstructionCost::default()).with_wisdom(imported);
-        // Unpinned default policy regardless of the CI leg's env (the
-        // WHT_NO_RELAYOUT leg would otherwise kill-switch the replay,
-        // which has its own test below).
+        // Unpinned default policy regardless of the process env (a set
+        // WHT_NO_RELAYOUT would otherwise kill-switch the replay, which
+        // has its own test below).
         warm.exec.relayout = RelayoutPolicy::default();
         let mut x: Vec<f64> = (0..1 << 14).map(|j| (j % 11) as f64 - 5.0).collect();
         let want = naive_wht(&x);

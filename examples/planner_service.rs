@@ -8,9 +8,8 @@
 //! space. Run with `cargo run --release --example planner_service`.
 //!
 //! Executor knobs: served transforms replay schedules lowered through the
-//! staged pipeline of `wht_core::compile` — prefix fusion, DDL tail
-//! relayout past the size threshold, re-codeleting, SIMD lane
-//! kernels — under **one** `ExecPolicy`. Each wisdom entry records the
+//! staged pipeline of `wht_core::compile` (`lowering_stages`) under
+//! **one** `ExecPolicy`. Each wisdom entry records the
 //! executor `Tuning` it was recorded with, and every knob of an importing
 //! planner resolves through one precedence rule: **API pin > wisdom >
 //! environment > default**. Concretely:
@@ -19,10 +18,10 @@
 //!   no longer overrides any stage. To change one stage, pin
 //!   `ExecPolicy::from_env().with_fusion(...)` (or `.with_simd(...)`,
 //!   `.with_relayout(...)`, …).
-//! - The `WHT_NO_FUSE` / `WHT_NO_SIMD` / `WHT_NO_RELAYOUT` /
-//!   `WHT_NO_RECODELET` kill switches disable a stage process-wide, and
-//!   imported wisdom can never re-enable it (see `wht_core::env` for the
-//!   full knob table).
+//! - Each stage's `WHT_NO_*` kill switch (the `wht_core::env` table)
+//!   disables it process-wide, and imported wisdom can never re-enable
+//!   it. The environment only switches stages off; other settings are
+//!   `ExecPolicy::with_*` values pinned through `with_exec`.
 //! - Otherwise recorded tuning replays the recorder's configuration per
 //!   size, and the environment snapshot / defaults fill the gaps.
 
@@ -130,10 +129,7 @@ fn main() -> Result<(), WhtError> {
         on_off(resolved.batch.enabled()),
         resolved.batch.block_rows,
     );
-    println!(
-        "(kill switches: WHT_NO_FUSE / WHT_NO_SIMD / WHT_NO_RELAYOUT / \
-         WHT_NO_RECODELET / WHT_NO_BATCH; pin: with_exec)"
-    );
+    println!("(kill switches: the WHT_NO_* table in wht_core::env; pin: with_exec)");
     assert_eq!(
         server.evaluations(),
         0,
