@@ -110,8 +110,8 @@ mod stages;
 mod tests;
 
 pub use policy::{
-    resolve_knob, BatchPolicy, ExecPolicy, FusionPolicy, PolicyKnob, RecodeletPolicy,
-    RelayoutPolicy, StreamPolicy, SMALL_MERGE_ROWS,
+    BatchPolicy, ExecPolicy, FusionPolicy, RecodeletPolicy, RelayoutPolicy, StreamPolicy,
+    SMALL_MERGE_ROWS,
 };
 pub use stages::{lowering_stages, LoweringStage};
 

@@ -4,19 +4,18 @@
 //! Each lowering stage (see [`crate::compile::LoweringStage`]) is gated by
 //! one policy struct; [`ExecPolicy`] bundles the six so the whole
 //! executor configuration travels as **one value** — one environment
-//! snapshot, one schedule-cache key, one wisdom record, one resolution.
+//! snapshot, one schedule-cache key.
 //!
-//! ## Resolution precedence
+//! ## Where a policy comes from
 //!
-//! Wherever a policy can come from more than one place, the order is
-//! **API pin > wisdom > environment > default**, with one refinement: a
-//! *disabled* environment/default policy is a kill switch that recorded
-//! wisdom cannot re-enable (`WHT_NO_FUSE=1` must win over a wisdom entry
-//! recorded with fusion on). The API pin is one whole [`ExecPolicy`] —
-//! `wht_search::Planner::with_exec` or
+//! **API value > environment kill switch > default.** The API value is
+//! one whole [`ExecPolicy`] — `wht_search::Planner::with_exec` or
 //! [`compiled_for_exec`](crate::compile::compiled_for_exec) — never a
-//! single stage; below it, [`resolve_knob`] implements the rule once for
-//! every knob, and `wht_search::Planner` is its production caller.
+//! single stage. Without one, [`ExecPolicy::from_env`] applies: the
+//! defaults with every stage whose `WHT_NO_*` kill switch is set
+//! disabled. Wisdom records plans, not executor configuration, so an
+//! imported wisdom entry cannot re-enable a stage the process switched
+//! off.
 
 use crate::codelets::SimdPolicy;
 use crate::env;
@@ -118,8 +117,7 @@ impl RelayoutPolicy {
     /// 1.1–1.3× at `n >= 24` and is neutral-to-negative below (the
     /// copies are pure overhead while the tail still hits cache), so the
     /// default engages exactly where the win is. Hosts with smaller LLCs
-    /// tune it down through [`ExecPolicy::with_relayout`]; wisdom entries
-    /// tune it per size.
+    /// tune it down through [`ExecPolicy::with_relayout`].
     pub const DEFAULT_MIN_ELEMS: usize = 1 << 24;
 
     /// Default minimum tail length: gather + scatter cost about two full
@@ -151,8 +149,7 @@ impl RelayoutPolicy {
 
     /// Policy that engages at *every* size (no `min_elems` floor) — what
     /// differential tests use so small transforms exercise the relayout
-    /// path, and what a wisdom entry recorded as "relayout on for this
-    /// size" replays in `wht-search`.
+    /// path.
     pub fn eager(budget_elems: usize) -> Self {
         RelayoutPolicy {
             budget_elems,
@@ -303,8 +300,7 @@ impl BatchPolicy {
     /// (3.2–4.3× aggregate over a per-transform `apply_plan` loop at
     /// n = 6, 1.5–1.9× at n = 8) and is within noise of the per-row
     /// replay once the full-width tail dominates (n ≥ 10), so the default
-    /// engages as soon as a full group of any type exists; wisdom entries
-    /// tune it per size.
+    /// engages as soon as a full group of any type exists.
     pub const DEFAULT_BLOCK_ROWS: usize = 16;
 
     /// Policy with an explicit engagement threshold.
@@ -349,9 +345,8 @@ impl Default for BatchPolicy {
 /// argument of the parallel engine's per-unit barriers unchanged.
 ///
 /// Configured like every stage (see [`ExecPolicy`]): the environment can
-/// only switch it off (the [`crate::env`] table), the floor is tuned
-/// through [`ExecPolicy::with_stream`], and wisdom records/replays it per
-/// size (Tuning v7).
+/// only switch it off (the [`crate::env`] table), and the floor is tuned
+/// through [`ExecPolicy::with_stream`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct StreamPolicy {
     /// Vector size (elements) below which the copy sweeps keep cached
@@ -411,28 +406,22 @@ impl Default for StreamPolicy {
 
 /// The full executor configuration, as **one value**: every stage of the
 /// lowering pipeline (fuse → relayout → re-codelet → backend-select) reads
-/// its policy from here, the per-thread schedule cache keys on it (with
-/// every disabled stage made canonical), and `wht_search` records/replays
-/// it per wisdom entry.
+/// its policy from here, and the per-thread schedule cache keys on it
+/// (with every disabled stage made canonical).
 ///
 /// ## Where a policy comes from (precedence)
 ///
-/// 1. **API pin** — a whole `ExecPolicy` passed through the API
+/// 1. **API value** — a whole `ExecPolicy` passed through the API
 ///    (`Planner::with_exec`,
-///    [`compiled_for_exec`](crate::compile::compiled_for_exec)) always
-///    wins, for every stage at once. To change one stage, pin
+///    [`compiled_for_exec`](crate::compile::compiled_for_exec)) is used
+///    as given, for every stage at once. To change one stage, pass
 ///    `ExecPolicy::from_env().with_<stage>(..)`.
-/// 2. **Wisdom** — a tuning recorded with a wisdom entry replays the
-///    recorder's configuration per size…
-/// 3. **Environment** — …unless the process environment *disables* the
-///    stage (`WHT_NO_*` kill switches, which wisdom must never
-///    re-enable), or no tuning was recorded, in which case the
-///    environment snapshot applies ([`ExecPolicy::from_env`]).
-/// 4. **Default** — the documented per-stage defaults; the environment
-///    can only switch a stage off, so every other setting is an API value.
+/// 2. **Environment kill switch** — otherwise each stage whose `WHT_NO_*`
+///    variable is set is disabled ([`ExecPolicy::from_env`]).
+/// 3. **Default** — every other stage runs its documented default; the
+///    environment can only switch a stage off.
 ///
-/// [`resolve_knob`] is that rule as code; every knob resolves through it
-/// exactly once per compiled schedule.
+/// Wisdom plays no part: it records plans, not executor configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct ExecPolicy {
     /// Cache-blocked prefix fusion (stage 1).
@@ -483,21 +472,27 @@ impl ExecPolicy {
     /// `disabled()` value. All disabled variants of a stage lower to the
     /// same schedule, so the schedule cache keys on this form.
     pub(crate) fn canonical(&self) -> Self {
-        fn off<P: PolicyKnob>(policy: P, disabled: P) -> P {
-            if policy.enabled() {
-                policy
-            } else {
-                disabled
-            }
+        let off = ExecPolicy::all_disabled();
+        let mut c = *self;
+        if !c.fusion.enabled() {
+            c.fusion = off.fusion;
         }
-        ExecPolicy {
-            fusion: off(self.fusion, FusionPolicy::disabled()),
-            relayout: off(self.relayout, RelayoutPolicy::disabled()),
-            recodelet: off(self.recodelet, RecodeletPolicy::disabled()),
-            simd: off(self.simd, SimdPolicy::disabled()),
-            batch: off(self.batch, BatchPolicy::disabled()),
-            stream: off(self.stream, StreamPolicy::disabled()),
+        if !c.relayout.enabled() {
+            c.relayout = off.relayout;
         }
+        if !c.recodelet.enabled() {
+            c.recodelet = off.recodelet;
+        }
+        if !c.simd.enabled() {
+            c.simd = off.simd;
+        }
+        if !c.batch.enabled() {
+            c.batch = off.batch;
+        }
+        if !c.stream.enabled() {
+            c.stream = off.stream;
+        }
+        c
     }
 
     /// Every stage off: the pure-scalar, unfused, in-place baseline
@@ -554,65 +549,5 @@ impl ExecPolicy {
     pub fn with_stream(mut self, stream: StreamPolicy) -> Self {
         self.stream = stream;
         self
-    }
-}
-
-/// A policy that can act as one knob of the precedence rule: anything
-/// with an on/off notion ([`resolve_knob`] needs to recognize the
-/// kill-switch state).
-pub trait PolicyKnob: Copy {
-    /// `true` when the policy actually engages its stage.
-    fn enabled(&self) -> bool;
-}
-
-impl PolicyKnob for FusionPolicy {
-    fn enabled(&self) -> bool {
-        FusionPolicy::enabled(self)
-    }
-}
-
-impl PolicyKnob for RelayoutPolicy {
-    fn enabled(&self) -> bool {
-        RelayoutPolicy::enabled(self)
-    }
-}
-
-impl PolicyKnob for RecodeletPolicy {
-    fn enabled(&self) -> bool {
-        RecodeletPolicy::enabled(self)
-    }
-}
-
-impl PolicyKnob for SimdPolicy {
-    fn enabled(&self) -> bool {
-        SimdPolicy::enabled(self)
-    }
-}
-
-impl PolicyKnob for BatchPolicy {
-    fn enabled(&self) -> bool {
-        BatchPolicy::enabled(self)
-    }
-}
-
-impl PolicyKnob for StreamPolicy {
-    fn enabled(&self) -> bool {
-        StreamPolicy::enabled(self)
-    }
-}
-
-/// The precedence rule for one unpinned executor knob (see
-/// [`ExecPolicy`]'s docs; an API pin bypasses it for the whole
-/// [`ExecPolicy`]): a **disabled** policy is a kill switch that recorded
-/// wisdom cannot re-enable; otherwise a **recorded** wisdom tuning wins;
-/// otherwise the policy itself (environment snapshot or default) applies.
-///
-/// Every stage — current and future — resolves through this single
-/// function, and the tests in `wht-search` pin the precedence per knob.
-pub fn resolve_knob<P: PolicyKnob>(policy: P, recorded: Option<P>) -> P {
-    if !policy.enabled() {
-        policy
-    } else {
-        recorded.unwrap_or(policy)
     }
 }

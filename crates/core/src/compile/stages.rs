@@ -6,11 +6,11 @@
 //! A new rewrite implements [`LoweringStage`], claims a field in
 //! [`ExecPolicy`] (the schedule cache keys on the whole policy, so the
 //! field is part of the key with no further code), adds one `WHT_NO_*`
-//! kill-switch line to [`ExecPolicy::from_env`], one wisdom `Tuning`
-//! field with its `Planner::resolved_exec` line, and takes its place in
-//! [`lowering_stages`] — everything downstream (executor, parallel
-//! engine, measurement, search) consumes the lowered schedule
-//! generically.
+//! kill-switch line to [`ExecPolicy::from_env`], takes its place in
+//! [`lowering_stages`], and adds one policy point to the facade's
+//! `tests/exec_matrix.rs` — everything downstream (executor, parallel
+//! engine, measurement, search, wisdom) consumes the lowered schedule
+//! or the policy generically.
 
 use super::{CompiledPlan, ExecPolicy};
 

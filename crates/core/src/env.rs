@@ -32,10 +32,10 @@
 //! | `WHT_THREADS` | worker crew size for the parallel engine and bench sweeps (`0` panics) | all cores |
 //!
 //! Each kill switch also has an API equivalent (`*Policy::disabled()`)
-//! that *pins* the choice per call site; the environment configures the
+//! that sets the choice per call site; the environment configures the
 //! process-wide default that [`crate::apply_plan`] snapshots once. The
-//! precedence between API pins, recorded wisdom, environment, and
-//! defaults is documented on [`crate::compile::ExecPolicy`].
+//! precedence — API value > kill switch > default — is documented on
+//! [`crate::compile::ExecPolicy`].
 
 /// `true` when kill-switch variable `name` is set on: any non-empty value
 /// other than `0`.

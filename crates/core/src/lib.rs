@@ -73,9 +73,9 @@ pub use codelets::{
     gather_rows_checked, lane_width, scatter_rows_checked, SimdPolicy,
 };
 pub use compile::{
-    compiled_for, compiled_for_exec, lowering_stages, resolve_knob, BatchPolicy, BatchSchedule,
-    CompiledPlan, ExecPolicy, FusionPolicy, LoweringStage, Pass, PassBackend, PolicyKnob,
-    Provenance, RecodeletPolicy, Relayout, RelayoutPolicy, StreamPolicy, SuperPass,
+    compiled_for, compiled_for_exec, lowering_stages, BatchPolicy, BatchSchedule, CompiledPlan,
+    ExecPolicy, FusionPolicy, LoweringStage, Pass, PassBackend, Provenance, RecodeletPolicy,
+    Relayout, RelayoutPolicy, StreamPolicy, SuperPass,
 };
 pub use ddl::{apply_plan_ddl, apply_plan_ddl_with_scratch, DdlConfig};
 pub use dyadic::{dyadic_autocorrelation, dyadic_convolution, dyadic_convolution_naive};

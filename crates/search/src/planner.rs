@@ -14,7 +14,7 @@
 //!    the spans it has never seen, and [`Planner::explain`] can say which
 //!    composition won each searched size and why.
 //! 2. The chosen plan is lowered through the staged pipeline of
-//!    `wht_core::compile` under one **resolved** [`ExecPolicy`]
+//!    `wht_core::compile` under the planner's one [`ExecPolicy`]
 //!    (fuse → relayout → re-codelet → kernel backend → batch → stream),
 //!    and the compiled schedule is cached — steady-state traffic is a
 //!    wisdom hit plus a flat schedule replay: zero cost evaluations, zero
@@ -22,71 +22,54 @@
 //! 3. Wisdom round-trips through JSON ([`Wisdom::to_json`] /
 //!    [`Wisdom::from_json`], or [`Wisdom::save`] / [`Wisdom::load`]), so a
 //!    fleet can ship pre-tuned wisdom and a fresh process starts warm —
-//!    the FFTW `wisdom` workflow, keyed by `(n, cost-backend name)`. Each
-//!    entry records the executor [`Tuning`] it was recorded with, and an
-//!    importing planner replays that configuration per size.
+//!    the FFTW `wisdom` workflow, keyed by `(n, cost-backend name)`. An
+//!    entry records a plan, how the search chose it, measured evidence,
+//!    and the [`CostObjective`] that gates its reuse ([`Tuning`]) — never
+//!    executor configuration.
 //!
 //! ## How a policy is resolved
 //!
-//! Every executor knob resolves through one rule — **API pin > wisdom >
-//! environment > default** — exactly once per compiled size:
-//!
-//! - [`Planner::with_exec`] **pins** the whole [`ExecPolicy`]: it beats
-//!   recorded wisdom for every stage, including this planner's own
-//!   earlier searches. To change one stage, pin
-//!   `ExecPolicy::from_env().with_<stage>(..)`.
-//! - Unpinned, each knob resolves through [`wht_core::resolve_knob`]: a
-//!   *disabled* policy (what a `WHT_NO_*` kill switch produces at
-//!   construction) beats wisdom, since imported tuning must never
-//!   re-enable a stage the process opted out of.
-//! - Otherwise a recorded [`Tuning`] replays the recorder's
-//!   configuration, and absent any record the planner's environment
-//!   snapshot / defaults apply.
+//! A planner compiles every size under its own [`ExecPolicy`]: **API
+//! value > `WHT_NO_*` kill switch > default**. [`Planner::with_exec`]
+//! sets the whole policy; without it the planner snapshots
+//! [`ExecPolicy::from_env`] at construction (the defaults, minus every
+//! stage whose kill switch is set). Imported wisdom never changes the
+//! policy, so it cannot re-enable a stage the process switched off — and
+//! since every lowering stage is bit-exact, the policy never changes
+//! output bits either.
 //!
 //! ## Wisdom format history
 //!
-//! - **Version 7** (current): [`Tuning`] gains the `stream` field —
-//!   whether the recorder's executor ran with the streaming-store /
-//!   prefetch memory codelets enabled (lowering stage 6). An on/off
-//!   record only: the stage's engagement threshold
-//!   (`StreamPolicy::min_elems`) is host tuning, so an importer replaying
-//!   `Some(true)` uses its *own* policy's threshold — and the stage is
-//!   bit-identical either way, so a migrated replay cannot change
-//!   output. Version-6 blobs load transparently (no choice recorded).
+//! Every version below loads its plans, provenance, `measured_ns` and
+//! `objective`, and re-serializes as version 7. Unknown fields are
+//! ignored on load.
+//!
+//! - **Version 7** (current): `tuning` gained `stream`. Versions 1–7
+//!   also carried the recorder's executor configuration (`fuse_budget`,
+//!   `simd`, `relayout`, `recodelet`, `batch`, `stream`), which an
+//!   importer used to replay per size. This build ignores those fields on
+//!   read and no longer writes them, still as version 7: a version-7
+//!   reader treats an absent field as "no choice recorded, the reader's
+//!   policy applies", so older builds load its documents unchanged.
 //! - **Version 6**: each entry gains two optional columns —
 //!   `provenance` (the memo search's winning composition and candidate
 //!   counts, a [`PlanProvenance`] record, so [`Planner::explain`]
 //!   survives a process restart) and `measured_ns` (measured wall-clock
 //!   evidence for the entry's plan; the sharded store's merge keeps the
-//!   measured-fastest entry per key — see [`crate::store`]). Version-5
-//!   blobs load transparently (both columns simply absent).
-//! - **Version 5**: [`Tuning`] gains the `objective` field —
-//!   which [`CostObjective`] weighting the recorder's vectored cost
-//!   backend collapsed its terms under when the entry's plan won, or
-//!   absent when the backend ran with its default weights. A planner
-//!   re-aimed via [`Planner::with_objective`] treats entries recorded
-//!   under a *different* objective as misses (the plan was optimal for a
+//!   measured-fastest entry per key — see [`crate::store`]).
+//! - **Version 5**: [`Tuning`] gains the `objective` field — which
+//!   [`CostObjective`] weighting the recorder's vectored cost backend
+//!   collapsed its terms under when the entry's plan won, or absent when
+//!   the backend ran with its default weights. A planner re-aimed via
+//!   [`Planner::with_objective`] treats entries recorded under a
+//!   *different* objective as misses (the plan was optimal for a
 //!   different collapse) while legacy planners keep reading every entry.
-//!   Version-4 blobs load transparently (no objective recorded).
-//! - **Version 4**: [`Tuning`] gains the `batch` field — the
-//!   row-block threshold the recorder's batched executor engaged at, or
-//!   `0` when batching was off. Version-3 blobs load transparently (the
-//!   field is simply absent: no choice recorded).
-//! - **Version 3** (PR 5): each entry carries one forward-compatible
-//!   `tuning` record ([`Tuning`]) — new executor stages add fields there,
-//!   never new entry-level columns. Unknown fields inside `tuning` (from
-//!   newer builds) are ignored on load.
-//! - **Version 2** (PR 4): flat per-entry `fuse_budget` / `simd` /
-//!   `relayout` columns. Loads transparently — the flat fields migrate
-//!   into a [`Tuning`] with no `recodelet` choice recorded — and
-//!   re-serializes as version 3.
-//! - **Version 1** (PR 2): as version 2 without `relayout`. Same
-//!   migration path.
-//!
-//! Migrated blobs replay bit-identically: the recorded knobs resolve
-//! exactly as they did when written, and the stages they predate resolve
-//! to the importer's defaults (which never change output bits — every
-//! lowering stage is bit-exact by construction).
+//! - **Version 4**: `tuning` gained `batch`.
+//! - **Version 3**: each entry carries one nested `tuning` record, so
+//!   new fields never become entry-level columns.
+//! - **Version 2**: flat per-entry `fuse_budget` / `simd` / `relayout`
+//!   columns, no `tuning`.
+//! - **Version 1**: as version 2 without `relayout`.
 //!
 //! ```
 //! use wht_search::{InstructionCost, Planner};
@@ -112,57 +95,19 @@ use crate::store::{atomic_write, ShardedStore, StoreDiagnostic};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::path::Path;
-use wht_core::{
-    resolve_knob, BatchPolicy, CompiledPlan, ExecPolicy, FusionPolicy, Plan, RecodeletPolicy,
-    RelayoutPolicy, Scalar, SimdPolicy, StreamPolicy, WhtError,
-};
+use wht_core::{CompiledPlan, ExecPolicy, Plan, Scalar, WhtError};
 
-/// Per-entry executor tuning: which configuration the recorder's executor
-/// actually ran when the entry's plan was chosen. One forward-compatible
-/// record — every lowering stage owns one optional field, `None` meaning
-/// "no choice recorded, the reader's policy applies" (distinct from a
-/// recorded *off*, which replays as off).
-///
-/// Stored sizes are `u64` so wisdom written on 64-bit hosts loads on
-/// 32-bit ones (values saturate to `usize::MAX` on conversion).
+/// The nested `tuning` record of a wisdom entry: what gates the entry's
+/// reuse. It holds no executor configuration — a planner always compiles
+/// under its own [`ExecPolicy`] (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct Tuning {
-    /// Fused-tile budget in elements; `Some(0)` = fusion was off.
-    pub fuse_budget: Option<u64>,
-    /// Kernel backend: `Some(true)` = the SIMD lane kernels.
-    pub simd: Option<bool>,
-    /// Relayout gathered-block budget in elements at this size;
-    /// `Some(0)` = the recorder's executor did not gather this size.
-    pub relayout: Option<u64>,
-    /// Whether the re-codelet stage ran. An on/off record only: the
-    /// stage's shape knobs (`max_k`, `footprint_elems`) are host tuning,
-    /// so an importer replaying `Some(true)` uses its *own* policy's
-    /// shape rather than the recorder's.
-    pub recodelet: Option<bool>,
-    /// Batched-execution row-block threshold at this size; `Some(0)` =
-    /// the recorder's executor did not build a batch schedule for this
-    /// size (stage off, or the size is past the batch cap).
-    pub batch: Option<u64>,
-    /// Whether the streaming-store / prefetch memory codelets (stage 6)
-    /// were enabled in the recorder's executor. On/off only: the
-    /// engagement threshold is host tuning, so an importer replaying
-    /// `Some(true)` uses its *own* [`StreamPolicy`] threshold rather
-    /// than the recorder's.
-    pub stream: Option<bool>,
     /// The [`CostObjective`] the recorder's vectored cost backend was
     /// collapsed under when this plan won; `None` = default weights (or a
-    /// pre-version-5 record). Unlike the executor knobs above this is not
-    /// replayed into an [`ExecPolicy`] — it gates wisdom *reuse*: a
-    /// planner aimed at a different objective must re-search, not replay
-    /// a plan that was optimal for a different collapse.
+    /// pre-version-5 record). A planner aimed at a different objective
+    /// must re-search, not replay a plan that was optimal for a
+    /// different collapse.
     pub objective: Option<CostObjective>,
-}
-
-impl Tuning {
-    /// `true` when no choice at all was recorded.
-    pub fn is_empty(&self) -> bool {
-        *self == Tuning::default()
-    }
 }
 
 /// How a wisdom entry's plan won its memo search: the winning
@@ -205,9 +150,9 @@ impl PlanProvenance {
     }
 }
 
-/// One best-known plan plus everything recorded with it: the executor
-/// tuning, the search provenance (version 6), and measured wall-clock
-/// evidence when any exists.
+/// One best-known plan plus everything recorded with it: the reuse gate
+/// ([`Tuning`]), the search provenance (version 6), and measured
+/// wall-clock evidence when any exists.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct WisdomRecord {
     pub(crate) plan: Plan,
@@ -218,8 +163,8 @@ pub(crate) struct WisdomRecord {
 
 /// Serialized wisdom entry, current ([`WISDOM_VERSION`]) shape: the plan
 /// travels as its WHT-package grammar string (stable, human-readable,
-/// validated on parse), the executor tuning as one nested [`Tuning`]
-/// record, plus the optional provenance and measurement columns.
+/// validated on parse), the reuse gate as one nested [`Tuning`] record,
+/// plus the optional provenance and measurement columns.
 #[derive(Debug, Clone, Serialize)]
 struct WisdomEntryOut {
     n: u32,
@@ -231,10 +176,9 @@ struct WisdomEntryOut {
 }
 
 /// Permissive read-side entry covering every supported version: versions
-/// 3–6 carry `tuning` (earlier records simply lack the later fields);
-/// versions 1–2 carried the flat fields, which migrate into a [`Tuning`]
-/// on load. Unknown fields are ignored by the JSON layer (forward
-/// compatibility).
+/// 3–7 carry `tuning`, versions 1–2 do not (no objective recorded).
+/// Unknown fields — including the executor fields older builds wrote —
+/// are ignored by the JSON layer.
 #[derive(Debug, Clone, Deserialize)]
 struct WisdomEntryIn {
     n: u32,
@@ -243,9 +187,6 @@ struct WisdomEntryIn {
     tuning: Option<Tuning>,
     provenance: Option<PlanProvenance>,
     measured_ns: Option<u64>,
-    fuse_budget: Option<u64>,
-    simd: Option<bool>,
-    relayout: Option<u64>,
 }
 
 /// Serialized wisdom store (write side).
@@ -299,16 +240,17 @@ impl Wisdom {
         Some(&self.entries.get(&n)?.get(backend)?.plan)
     }
 
-    /// The executor [`Tuning`] recorded with the `(n, backend)` entry,
-    /// `None` when no entry exists.
+    /// The [`Tuning`] recorded with the `(n, backend)` entry, `None` when
+    /// no entry exists.
     pub fn tuning(&self, n: u32, backend: &str) -> Option<Tuning> {
         Some(self.entries.get(&n)?.get(backend)?.tuning)
     }
 
     /// Record (or overwrite) the best plan for `(n, backend)` with no
-    /// executor tuning attached.
+    /// objective recorded.
     ///
     /// # Errors
+    /// [`WhtError::SizeTooLarge`] if `n > MAX_N`;
     /// [`WhtError::LengthMismatch`] if `plan.n() != n` — wisdom for size
     /// `n` must transform size-`2^n` inputs.
     pub fn insert(&mut self, n: u32, backend: &str, plan: Plan) -> Result<(), WhtError> {
@@ -316,10 +258,10 @@ impl Wisdom {
     }
 
     /// Record (or overwrite) the best plan for `(n, backend)`, attaching
-    /// the full executor [`Tuning`] it was recorded under.
+    /// the [`Tuning`] it was recorded under.
     ///
     /// # Errors
-    /// [`WhtError::LengthMismatch`] if `plan.n() != n`.
+    /// As [`Wisdom::insert`].
     pub fn insert_with_tuning(
         &mut self,
         n: u32,
@@ -327,6 +269,11 @@ impl Wisdom {
         plan: Plan,
         tuning: Tuning,
     ) -> Result<(), WhtError> {
+        // `n` may come straight from a wisdom document: bound it before
+        // the shift below.
+        if n > wht_core::MAX_N {
+            return Err(WhtError::SizeTooLarge { n });
+        }
         if plan.n() != n {
             return Err(WhtError::LengthMismatch {
                 expected: 1usize << n,
@@ -478,8 +425,8 @@ impl Wisdom {
     }
 
     /// Parse a store from JSON, validating every plan. Version-1 through
-    /// version-6 stores migrate transparently (see the module docs'
-    /// format history) and re-serialize as the current version.
+    /// version-6 stores load transparently (see the module docs' format
+    /// history) and re-serialize as the current version.
     ///
     /// # Errors
     /// [`WhtError::InvalidConfig`] on malformed JSON or a version
@@ -497,18 +444,7 @@ impl Wisdom {
         let mut wisdom = Wisdom::new();
         for entry in file.entries {
             let plan: Plan = entry.plan.parse()?;
-            // Versions 3-6 carry the nested record; versions 1-2 carried
-            // flat columns, which migrate into the same shape. A nested
-            // record wins over any stray flat fields.
-            let tuning = entry.tuning.unwrap_or(Tuning {
-                fuse_budget: entry.fuse_budget,
-                simd: entry.simd,
-                relayout: entry.relayout,
-                recodelet: None,
-                batch: None,
-                stream: None,
-                objective: None,
-            });
+            let tuning = entry.tuning.unwrap_or_default();
             wisdom.insert_with_tuning(entry.n, &entry.backend, plan, tuning)?;
             if let Some(provenance) = entry.provenance {
                 wisdom.set_provenance(entry.n, &entry.backend, provenance);
@@ -662,12 +598,9 @@ fn unsupported_version(text: &str) -> Option<u32> {
 pub struct Planner<C: PlanCost> {
     cost: C,
     opts: DpOptions,
-    /// The planner's own executor configuration (environment snapshot at
-    /// construction, replaced by [`Planner::with_exec`]).
+    /// The executor configuration every size compiles under (environment
+    /// snapshot at construction, replaced by [`Planner::with_exec`]).
     exec: ExecPolicy,
-    /// `true` once [`Planner::with_exec`] pinned `exec`: recorded wisdom
-    /// then no longer overrides any stage.
-    pinned: bool,
     wisdom: Wisdom,
     compiled: HashMap<u32, CompiledPlan>,
     /// Solved search groups, kept across `plan` calls: a later, larger
@@ -698,7 +631,6 @@ impl<C: PlanCost> Planner<C> {
             cost,
             opts,
             exec: ExecPolicy::from_env(),
-            pinned: false,
             wisdom: Wisdom::new(),
             compiled: HashMap::new(),
             memo: MemoTable::new(),
@@ -708,31 +640,23 @@ impl<C: PlanCost> Planner<C> {
         }
     }
 
-    /// Override the **whole** executor configuration (builder style),
-    /// pinning every knob: recorded wisdom no longer overrides any stage.
+    /// Replace the **whole** executor configuration (builder style).
     /// Drops compiled schedules so already-served sizes recompile under
     /// the new configuration. `with_exec(ExecPolicy::all_disabled())` is
     /// the full API opt-out: the pure scalar unfused baseline, whatever
-    /// the environment or the wisdom says. To change one stage, pin
+    /// the environment says. To change one stage, pass
     /// `ExecPolicy::from_env().with_fusion(..)` (or any other
     /// `ExecPolicy::with_*`).
     #[must_use]
     pub fn with_exec(mut self, exec: ExecPolicy) -> Self {
         self.exec = exec;
-        self.pinned = true;
         self.compiled.clear();
         self
     }
 
-    /// The planner's own executor configuration (before per-size wisdom
-    /// resolution).
-    pub fn exec(&self) -> &ExecPolicy {
-        &self.exec
-    }
-
     /// Adopt previously saved wisdom (builder style). Drops any compiled
-    /// schedules so already-served sizes re-resolve against the new
-    /// wisdom instead of silently replaying superseded plans.
+    /// schedules so already-served sizes recompile the imported plans
+    /// instead of silently replaying superseded ones.
     #[must_use]
     pub fn with_wisdom(mut self, wisdom: Wisdom) -> Self {
         self.wisdom = wisdom;
@@ -861,64 +785,13 @@ impl<C: PlanCost> Planner<C> {
         &self.wisdom
     }
 
-    /// The [`ExecPolicy`] size `2^n` would compile under right now: every
-    /// knob resolved through the one precedence rule (API pin > wisdom >
-    /// environment > default, with disabled-default as a kill switch —
-    /// see [`wht_core::resolve_knob`]). Exposed so services and tests can
+    /// The [`ExecPolicy`] size `2^n` compiles under: the planner's own
+    /// policy ([`ExecPolicy::from_env`] at construction, or the
+    /// [`Planner::with_exec`] value) — wisdom records plans only, so `n`
+    /// does not change the result. Exposed so services and tests can
     /// inspect the decision without compiling.
-    pub fn resolved_exec(&self, n: u32) -> ExecPolicy {
-        if self.pinned {
-            return self.exec;
-        }
-        let t = self.wisdom.tuning(n, self.cost.name()).unwrap_or_default();
-        ExecPolicy {
-            fusion: resolve_knob(
-                self.exec.fusion,
-                t.fuse_budget
-                    .map(|b| FusionPolicy::new(usize::try_from(b).unwrap_or(usize::MAX))),
-            ),
-            relayout: resolve_knob(self.exec.relayout, t.relayout.map(replay_relayout)),
-            recodelet: resolve_knob(
-                self.exec.recodelet,
-                // The record is a bool (the stage's shape knobs are
-                // host-tuning, not per-size wisdom), so a recorded *on*
-                // replays through the reader's own policy — preserving
-                // its shape tuning (`ExecPolicy::with_recodelet`) — rather
-                // than clobbering it with the compiled-in default.
-                t.recodelet.map(|on| {
-                    if on {
-                        self.exec.recodelet
-                    } else {
-                        RecodeletPolicy::disabled()
-                    }
-                }),
-            ),
-            simd: resolve_knob(
-                self.exec.simd,
-                t.simd.map(|on| {
-                    if on {
-                        SimdPolicy::auto()
-                    } else {
-                        SimdPolicy::disabled()
-                    }
-                }),
-            ),
-            batch: resolve_knob(self.exec.batch, t.batch.map(replay_batch)),
-            stream: resolve_knob(
-                self.exec.stream,
-                // On/off record, like `recodelet`: the engagement
-                // threshold is host tuning, so a recorded *on* replays
-                // through the reader's own policy (preserving its
-                // threshold tuning, `ExecPolicy::with_stream`).
-                t.stream.map(|on| {
-                    if on {
-                        self.exec.stream
-                    } else {
-                        StreamPolicy::disabled()
-                    }
-                }),
-            ),
-        }
+    pub fn resolved_exec(&self, _n: u32) -> ExecPolicy {
+        self.exec
     }
 
     /// Whether the `(m, backend)` wisdom entry may serve this planner: it
@@ -942,22 +815,6 @@ impl<C: PlanCost> Planner<C> {
         if !self.wisdom_entry_is_current(n, backend) {
             let res = memo_search(n, &self.opts, &mut self.cost, &mut self.memo)?;
             self.evaluations += res.evaluations;
-            // Record the executor tuning this planner compiles with, so a
-            // process importing the wisdom replays the same configuration
-            // (budget 0 = fusion off; simd = which kernels ran; relayout
-            // = the gathered-block budget where this plan's schedule
-            // actually relayouts at that size, 0 where it does not — the
-            // record must reflect the executed configuration, so it is
-            // read off the compiled schedule itself rather than the
-            // policy gates: a policy knob like `min_passes`, or a plan
-            // shape with too short a tail, can decline relayout even
-            // where the size gates pass, and an importer must not replay
-            // a schedule this planner never ran).
-            let budget = if self.exec.fusion.enabled() {
-                self.exec.fusion.budget_elems as u64
-            } else {
-                0
-            };
             for m in 1..=n {
                 // Smaller sizes only fill holes (or replace entries
                 // recorded under a different objective): an imported
@@ -970,44 +827,11 @@ impl<C: PlanCost> Planner<C> {
                         .expect("memo_search solved every span up to n")
                         .plan
                         .clone();
-                    let relayout = if self.exec.relayout.enabled()
-                        && CompiledPlan::compile(&plan)
-                            .fuse(&self.exec.fusion)
-                            .relayout(&self.exec.relayout)
-                            .has_relayout()
-                    {
-                        self.exec.relayout.budget_elems as u64
-                    } else {
-                        0
-                    };
-                    // Like relayout, the batch record is read off the
-                    // lowered schedule: a size past the batch cap never
-                    // built the product, and an importer must not replay
-                    // a threshold this planner's executor never ran.
-                    let batch = if self.exec.batch.enabled()
-                        && CompiledPlan::compile(&plan)
-                            .with_batch(&self.exec.batch)
-                            .is_batched()
-                    {
-                        self.exec.batch.block_rows as u64
-                    } else {
-                        0
-                    };
                     self.wisdom.insert_with_tuning(
                         m,
                         backend,
                         plan,
                         Tuning {
-                            fuse_budget: Some(budget),
-                            simd: Some(self.exec.simd.enabled()),
-                            relayout: Some(relayout),
-                            recodelet: Some(self.exec.recodelet.enabled()),
-                            batch: Some(batch),
-                            // On/off like `recodelet`: engagement is a
-                            // call-time property (vector length against
-                            // the host-tuned threshold), so the record
-                            // is whether the stage ran at all.
-                            stream: Some(self.exec.stream.enabled()),
                             objective: self.objective,
                         },
                     )?;
@@ -1053,22 +877,14 @@ impl<C: PlanCost> Planner<C> {
             )));
         }
         let n = len.trailing_zeros();
-        if n > wht_core::MAX_N {
-            return Err(WhtError::SizeTooLarge { n });
-        }
-        if !self.compiled.contains_key(&n) {
-            let plan = self.plan(n)?.clone();
-            let exec = self.resolved_exec(n);
-            self.compiled
-                .insert(n, CompiledPlan::compile_exec(&plan, &exec));
-        }
+        let schedule = self.schedule(n)?;
         // Measure the replay and feed the wall-clock back into the wisdom
         // entry it executed (fastest sample wins, matching the sharded
         // store's measured-fastest merge) — so a planner that merely
         // *runs* accumulates the measured evidence the store's
         // cross-process merge arbitrates on.
         let start = std::time::Instant::now();
-        self.compiled.get(&n).expect("inserted above").apply(x)?;
+        schedule.apply(x)?;
         let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         let backend = self.cost.name();
         if self
@@ -1086,7 +902,7 @@ impl<C: PlanCost> Planner<C> {
     /// In-place **batched** transform: `x` viewed as `rows` adjacent
     /// contiguous transforms of size `x.len() / rows`, each mapped
     /// through the best known plan for that size via
-    /// [`CompiledPlan::apply_batch`] — past the resolved row-block
+    /// [`CompiledPlan::apply_batch`] — past the policy's row-block
     /// threshold the batch runs the cross-transform lane path, below it
     /// (or under `WHT_NO_BATCH`) every row replays the per-transform
     /// schedule, bit-identically either way.
@@ -1108,20 +924,22 @@ impl<C: PlanCost> Planner<C> {
                 "batched row length {len} is not a power of two >= 2"
             )));
         }
-        let n = len.trailing_zeros();
+        self.schedule(len.trailing_zeros())?.apply_batch(x, rows)
+    }
+
+    /// The compiled schedule serving size `2^n`, searched and compiled on
+    /// first use — the cold path of [`Planner::transform`] and
+    /// [`Planner::transform_batch`].
+    fn schedule(&mut self, n: u32) -> Result<&CompiledPlan, WhtError> {
         if n > wht_core::MAX_N {
             return Err(WhtError::SizeTooLarge { n });
         }
         if !self.compiled.contains_key(&n) {
             let plan = self.plan(n)?.clone();
-            let exec = self.resolved_exec(n);
             self.compiled
-                .insert(n, CompiledPlan::compile_exec(&plan, &exec));
+                .insert(n, CompiledPlan::compile_exec(&plan, &self.exec));
         }
-        self.compiled
-            .get(&n)
-            .expect("inserted above")
-            .apply_batch(x, rows)
+        Ok(self.compiled.get(&n).expect("inserted above"))
     }
 }
 
@@ -1142,36 +960,6 @@ impl<C: VectorCost> Planner<C> {
         self.memo.clear();
         self.compiled.clear();
         self
-    }
-}
-
-/// How a recorded relayout tuning replays: `0` means the recorder's
-/// executor did not gather this size (stays off), a nonzero budget
-/// replays at the engine's floor (`min_passes = 2`, no size gate) rather
-/// than the default policy's knobs — the record only exists because the
-/// recorder's schedule actually gathered, and a recorder tuned with
-/// `min_passes` below the default must not have its configuration
-/// silently dropped on import.
-fn replay_relayout(budget: u64) -> RelayoutPolicy {
-    if budget == 0 {
-        RelayoutPolicy::disabled()
-    } else {
-        RelayoutPolicy {
-            budget_elems: usize::try_from(budget).unwrap_or(usize::MAX),
-            min_elems: 0,
-            min_passes: 2,
-        }
-    }
-}
-
-/// How a recorded batch tuning replays: `0` means the recorder's executor
-/// built no batch schedule for this size (stays off); a nonzero record
-/// replays the recorder's row-block threshold exactly.
-fn replay_batch(block: u64) -> BatchPolicy {
-    if block == 0 {
-        BatchPolicy::disabled()
-    } else {
-        BatchPolicy::new(usize::try_from(block).unwrap_or(usize::MAX))
     }
 }
 
@@ -1280,426 +1068,26 @@ mod tests {
     }
 
     #[test]
-    fn wisdom_records_the_tile_budget_and_round_trips_it() {
-        // The planner stamps its fusion budget on every entry it records.
-        let mut planner = Planner::new(InstructionCost::default())
-            .with_exec(ExecPolicy::from_env().with_fusion(FusionPolicy::new(1 << 9)));
-        planner.plan(8).unwrap();
-        for m in 1..=8u32 {
-            assert_eq!(
-                planner
-                    .wisdom()
-                    .tuning(m, "instruction-model")
-                    .unwrap()
-                    .fuse_budget,
-                Some(1 << 9)
-            );
-        }
-        // ...and the budget survives the JSON round trip.
-        let back = Wisdom::from_json(&planner.wisdom().to_json()).unwrap();
-        assert_eq!(&back, planner.wisdom());
-        assert_eq!(
-            back.tuning(8, "instruction-model").unwrap().fuse_budget,
-            Some(1 << 9)
-        );
-
-        // A fusion-off planner records budget 0, distinct from "not
-        // recorded".
-        let mut off = Planner::new(InstructionCost::default())
-            .with_exec(ExecPolicy::from_env().with_fusion(FusionPolicy::disabled()));
-        off.plan(4).unwrap();
-        let back = Wisdom::from_json(&off.wisdom().to_json()).unwrap();
-        assert_eq!(
-            back.tuning(4, "instruction-model").unwrap().fuse_budget,
-            Some(0)
-        );
-        let mut plain = Wisdom::new();
-        plain
-            .insert(4, "instruction-model", Plan::iterative(4).unwrap())
-            .unwrap();
-        assert_eq!(
-            plain.tuning(4, "instruction-model").unwrap().fuse_budget,
-            None
-        );
-        assert!(plain.tuning(4, "instruction-model").unwrap().is_empty());
-    }
-
-    #[test]
-    fn recorded_budget_overrides_the_importing_planners_policy() {
-        // Tune with fusion off; a default (fusion-on) importer must still
-        // compile that size unfused, honoring the recorded configuration.
-        let mut tuned = Planner::new(InstructionCost::default())
-            .with_exec(ExecPolicy::from_env().with_fusion(FusionPolicy::disabled()));
-        tuned.plan(10).unwrap();
-        let wisdom = Wisdom::from_json(&tuned.wisdom().to_json()).unwrap();
-
-        let mut warm = Planner::new(InstructionCost::default()).with_wisdom(wisdom);
-        let mut x: Vec<f64> = (0..1024).map(|j| (j % 13) as f64).collect();
-        let want = naive_wht(&x);
-        warm.transform(&mut x).unwrap();
-        assert!(max_abs_diff(&x, &want) < 1e-9);
-        assert!(
-            !warm.compiled.get(&10).unwrap().is_fused(),
-            "recorded budget 0 must win over the importer's default policy"
-        );
-        // Version-1 wisdom without the field still loads (budget absent).
-        let legacy =
-            "{\"version\":1,\"entries\":[{\"n\":4,\"backend\":\"x\",\"plan\":\"split[small[2],small[2]]\"}]}";
-        let w = Wisdom::from_json(legacy).unwrap();
-        assert_eq!(w.tuning(4, "x").unwrap().fuse_budget, None);
-    }
-
-    #[test]
-    fn disabled_default_policy_is_a_kill_switch_over_recorded_budgets() {
-        // An *unpinned* disabled policy is what WHT_NO_FUSE=1 produces at
-        // construction (simulated here by setting the private fields —
-        // tests must not mutate process env under a threaded test
-        // runner). Imported wisdom carrying a fused budget must not
-        // re-enable fusion past the kill switch.
-        let mut wisdom = Wisdom::new();
-        wisdom
-            .insert_with_tuning(
-                10,
-                "instruction-model",
-                Plan::iterative(10).unwrap(),
-                Tuning {
-                    fuse_budget: Some(1 << 9),
-                    ..Tuning::default()
-                },
-            )
-            .unwrap();
-        let mut planner = Planner::new(InstructionCost::default()).with_wisdom(wisdom);
-        planner.exec.fusion = FusionPolicy::disabled();
-        let mut x: Vec<f64> = (0..1024).map(|j| (j % 5) as f64).collect();
-        planner.transform(&mut x).unwrap();
-        assert!(
-            !planner.compiled.get(&10).unwrap().is_fused(),
-            "a disabled default policy must beat the recorded budget"
-        );
-    }
-
-    #[test]
-    fn with_exec_pins_fusion_over_recorded_budgets() {
-        // A planner that already recorded a fused budget for a size must
-        // still honor a later explicit opt-out — with_exec pins the
-        // policy, beating the planner's own earlier wisdom.
-        let mut planner = Planner::new(InstructionCost::default())
-            .with_exec(ExecPolicy::from_env().with_fusion(FusionPolicy::new(1 << 12)));
-        let mut x: Vec<f64> = (0..4096).map(|j| (j % 7) as f64).collect();
-        planner.transform(&mut x).unwrap();
-        assert!(planner.compiled.get(&12).unwrap().is_fused());
-        assert_eq!(
-            planner
-                .wisdom()
-                .tuning(12, "instruction-model")
-                .unwrap()
-                .fuse_budget,
-            Some(1 << 12)
-        );
-
-        let off = planner.exec().with_fusion(FusionPolicy::disabled());
-        let mut planner = planner.with_exec(off);
-        let mut y: Vec<f64> = (0..4096).map(|j| (j % 7) as f64).collect();
-        planner.transform(&mut y).unwrap();
-        assert!(
-            !planner.compiled.get(&12).unwrap().is_fused(),
-            "an explicit fusion-off pin must beat the recorded budget"
-        );
-        // And flipping back on works the same way.
-        let on = planner.exec().with_fusion(FusionPolicy::unbounded());
-        let mut planner = planner.with_exec(on);
-        let mut z: Vec<f64> = (0..4096).map(|j| (j % 7) as f64).collect();
-        planner.transform(&mut z).unwrap();
-        assert!(planner.compiled.get(&12).unwrap().is_fused());
-    }
-
-    #[test]
-    fn wisdom_records_the_kernel_backend_and_round_trips_it() {
-        // The planner stamps its SIMD policy on every entry it records...
-        let mut planner = Planner::new(InstructionCost::default())
-            .with_exec(ExecPolicy::from_env().with_simd(SimdPolicy::disabled()));
-        planner.plan(8).unwrap();
-        for m in 1..=8u32 {
-            assert_eq!(
-                planner
-                    .wisdom()
-                    .tuning(m, "instruction-model")
-                    .unwrap()
-                    .simd,
-                Some(false)
-            );
-        }
-        // ...and the record survives the JSON round trip.
-        let back = Wisdom::from_json(&planner.wisdom().to_json()).unwrap();
-        assert_eq!(&back, planner.wisdom());
-        assert_eq!(
-            back.tuning(8, "instruction-model").unwrap().simd,
-            Some(false)
-        );
-
-        // An importing planner with an unpinned enabled policy replays the
-        // recorded scalar choice.
-        let mut warm = Planner::new(InstructionCost::default()).with_wisdom(back);
-        warm.exec.simd = SimdPolicy::auto();
-        let mut x: Vec<f64> = (0..256).map(|j| (j % 7) as f64).collect();
-        warm.transform(&mut x).unwrap();
-        assert!(
-            !warm.compiled.get(&8).unwrap().is_simd(),
-            "recorded scalar tuning must win over the importer's default"
-        );
-
-        // Entries without the field (legacy wisdom) record no choice.
-        let legacy =
-            "{\"version\":1,\"entries\":[{\"n\":4,\"backend\":\"x\",\"plan\":\"split[small[2],small[2]]\"}]}";
-        let w = Wisdom::from_json(legacy).unwrap();
-        assert_eq!(w.tuning(4, "x").unwrap().simd, None);
-    }
-
-    #[test]
-    fn simd_kill_switch_and_pinning_beat_recorded_backends() {
-        // Imported wisdom tuned with the lane kernels must not re-enable
-        // them past an (unpinned) disabled policy — what WHT_NO_SIMD=1
-        // produces at construction.
-        let mut wisdom = Wisdom::new();
-        wisdom
-            .insert_with_tuning(
-                10,
-                "instruction-model",
-                Plan::iterative(10).unwrap(),
-                Tuning {
-                    simd: Some(true),
-                    ..Tuning::default()
-                },
-            )
-            .unwrap();
-        let mut planner = Planner::new(InstructionCost::default()).with_wisdom(wisdom.clone());
-        planner.exec.simd = SimdPolicy::disabled();
-        let mut x: Vec<f64> = (0..1024).map(|j| (j % 5) as f64).collect();
-        planner.transform(&mut x).unwrap();
-        assert!(
-            !planner.compiled.get(&10).unwrap().is_simd(),
-            "a disabled default policy must beat the recorded backend"
-        );
-
-        // And an explicit with_exec pin beats the record in both
-        // directions.
-        let mut pinned = Planner::new(InstructionCost::default())
-            .with_wisdom(wisdom)
-            .with_exec(ExecPolicy::from_env().with_simd(SimdPolicy::disabled()));
-        let mut y: Vec<f64> = (0..1024).map(|j| (j % 5) as f64).collect();
-        pinned.transform(&mut y).unwrap();
-        assert!(!pinned.compiled.get(&10).unwrap().is_simd());
-        let lanes = pinned.exec().with_simd(SimdPolicy::auto());
-        let mut repinned = pinned.with_exec(lanes);
-        let mut z: Vec<f64> = (0..1024).map(|j| (j % 5) as f64).collect();
-        repinned.transform(&mut z).unwrap();
-        assert!(repinned.compiled.get(&10).unwrap().is_simd());
-    }
-
-    #[test]
-    fn wisdom_records_relayout_tuning_and_round_trips_it() {
-        // The record is read off the compiled schedule itself: for every
-        // size the recorded budget is nonzero exactly where this
-        // planner's executor would actually relayout that size's plan —
-        // a policy knob (min_passes) or a short-tailed DP winner that
-        // declines relayout must record 0, whatever the size gates say.
-        let mut planner = Planner::new(InstructionCost::default()).with_exec(
-            ExecPolicy::from_env()
-                .with_fusion(FusionPolicy::new(1 << 6))
-                .with_relayout(RelayoutPolicy::eager(1 << 9)),
-        );
-        planner.plan(14).unwrap();
-        for m in 1..=14u32 {
-            let plan_m = planner
-                .wisdom()
-                .get(m, "instruction-model")
-                .unwrap()
-                .clone();
-            let executed = CompiledPlan::compile(&plan_m)
-                .fuse(&planner.exec().fusion)
-                .relayout(&planner.exec().relayout)
-                .has_relayout();
-            assert_eq!(
-                planner
-                    .wisdom()
-                    .tuning(m, "instruction-model")
-                    .unwrap()
-                    .relayout,
-                Some(if executed { 1 << 9 } else { 0 }),
-                "record must match the executed schedule at n = {m}"
-            );
-        }
-        assert_eq!(
-            planner
-                .wisdom()
-                .tuning(8, "instruction-model")
-                .unwrap()
-                .relayout,
-            Some(0),
-            "sizes inside the block budget cannot gather and record 0"
-        );
-        // And a policy whose min_passes declines every tail records 0
-        // everywhere even though its size gates pass.
-        let mut never = Planner::new(InstructionCost::default()).with_exec(
-            ExecPolicy::from_env()
-                .with_fusion(FusionPolicy::new(1 << 6))
-                .with_relayout(RelayoutPolicy {
-                    min_passes: 99,
-                    ..RelayoutPolicy::eager(1 << 9)
-                }),
-        );
-        never.plan(14).unwrap();
-        for m in 1..=14u32 {
-            assert_eq!(
-                never
-                    .wisdom()
-                    .tuning(m, "instruction-model")
-                    .unwrap()
-                    .relayout,
-                Some(0),
-                "a declining policy must not record a tuning it never ran"
-            );
-        }
-        // ...and the record survives the JSON round trip.
-        let back = Wisdom::from_json(&planner.wisdom().to_json()).unwrap();
-        assert_eq!(&back, planner.wisdom());
-
-        // An importing planner with an unpinned default policy replays
-        // the recorded tuning: the served schedule relayouts at n = 14
-        // even though the default policy's size floor would decline it.
-        // (The recorded plan is pinned to a many-factor shape so its
-        // fused schedule actually has a gatherable tail.)
-        let mut imported = Wisdom::new();
-        imported
-            .insert_with_tuning(
-                14,
-                "instruction-model",
-                Plan::iterative(14).unwrap(),
-                Tuning {
-                    fuse_budget: Some(1 << 6),
-                    relayout: Some(1 << 9),
-                    ..Tuning::default()
-                },
-            )
-            .unwrap();
-        let mut warm = Planner::new(InstructionCost::default()).with_wisdom(imported);
-        // Unpinned default policy regardless of the process env (a set
-        // WHT_NO_RELAYOUT would otherwise kill-switch the replay, which
-        // has its own test below).
-        warm.exec.relayout = RelayoutPolicy::default();
-        let mut x: Vec<f64> = (0..1 << 14).map(|j| (j % 11) as f64 - 5.0).collect();
-        let want = naive_wht(&x);
-        warm.transform(&mut x).unwrap();
-        assert!(max_abs_diff(&x, &want) < 1e-9);
-        assert!(
-            warm.compiled.get(&14).unwrap().has_relayout(),
-            "recorded relayout tuning must be replayed by the importer"
-        );
-        assert_eq!(warm.evaluations(), 0);
-    }
-
-    #[test]
-    fn recorded_relayout_replays_at_the_engine_floor_not_the_default_knobs() {
-        // A recorder tuned with min_passes = 2 can gather a 2-pass tail
-        // and record its budget; the importer must replay that exact
-        // configuration instead of re-gating it through the default
-        // min_passes = 3 (which would silently drop the tuning).
-        // binary_iterative(10, 2) fused at 2^6 leaves a 2-pass tail
-        // (strides 64 and 256) that a 2^9 block budget can gather.
-        let plan = Plan::binary_iterative(10, 2).unwrap();
-        let two_pass_tail = CompiledPlan::compile(&plan)
-            .fuse(&FusionPolicy::new(1 << 6))
-            .relayout(&RelayoutPolicy {
-                min_passes: 2,
-                ..RelayoutPolicy::eager(1 << 9)
-            });
-        assert!(two_pass_tail.has_relayout(), "test precondition");
-        let mut wisdom = Wisdom::new();
-        wisdom
-            .insert_with_tuning(
-                10,
-                "instruction-model",
-                plan,
-                Tuning {
-                    fuse_budget: Some(1 << 6),
-                    relayout: Some(1 << 9),
-                    ..Tuning::default()
-                },
-            )
-            .unwrap();
-        let mut warm = Planner::new(InstructionCost::default()).with_wisdom(wisdom);
-        warm.exec.relayout = RelayoutPolicy::default();
-        let mut x: Vec<f64> = (0..1 << 10).map(|j| (j % 9) as f64 - 4.0).collect();
-        let want = naive_wht(&x);
-        warm.transform(&mut x).unwrap();
-        assert!(max_abs_diff(&x, &want) < 1e-9);
-        assert!(
-            warm.compiled.get(&10).unwrap().has_relayout(),
-            "a recorded 2-pass-tail tuning must survive import"
-        );
-    }
-
-    #[test]
-    fn relayout_kill_switch_and_pinning_beat_recorded_tuning() {
-        // Imported wisdom tuned with relayout must not re-enable it past
-        // an (unpinned) disabled policy — what WHT_NO_RELAYOUT=1 produces
-        // at construction.
-        let mut wisdom = Wisdom::new();
-        wisdom
-            .insert_with_tuning(
-                14,
-                "instruction-model",
-                Plan::iterative(14).unwrap(),
-                Tuning {
-                    fuse_budget: Some(1 << 6),
-                    relayout: Some(1 << 9),
-                    ..Tuning::default()
-                },
-            )
-            .unwrap();
-        let mut planner = Planner::new(InstructionCost::default()).with_wisdom(wisdom.clone());
-        planner.exec.relayout = RelayoutPolicy::disabled();
-        let mut x: Vec<f64> = (0..1 << 14).map(|j| (j % 5) as f64).collect();
-        planner.transform(&mut x).unwrap();
-        assert!(
-            !planner.compiled.get(&14).unwrap().has_relayout(),
-            "a disabled default policy must beat the recorded tuning"
-        );
-
-        // And an explicit with_exec pin beats the record both ways. (The
-        // pin spells out the recorded fusion budget, which leaves a
-        // gatherable tail.)
-        let fused = ExecPolicy::from_env().with_fusion(FusionPolicy::new(1 << 6));
-        let mut pinned = Planner::new(InstructionCost::default())
-            .with_wisdom(wisdom)
-            .with_exec(fused.with_relayout(RelayoutPolicy::disabled()));
-        let mut y: Vec<f64> = (0..1 << 14).map(|j| (j % 5) as f64).collect();
-        pinned.transform(&mut y).unwrap();
-        assert!(!pinned.compiled.get(&14).unwrap().has_relayout());
-        let mut repinned = pinned.with_exec(fused.with_relayout(RelayoutPolicy::eager(1 << 9)));
-        let mut z: Vec<f64> = (0..1 << 14).map(|j| (j % 5) as f64).collect();
-        repinned.transform(&mut z).unwrap();
-        assert!(repinned.compiled.get(&14).unwrap().has_relayout());
-    }
-
-    #[test]
     fn version_1_wisdom_migrates_and_round_trips_as_current() {
-        // A version-1 store (pre-relayout) must load — its entries carry
-        // no relayout, recodelet, batch, or objective choice — and
-        // re-serialize as the current version without bricking anything.
+        // A version-1 store (flat executor columns, no tuning record)
+        // must load its plan with no objective recorded, and re-serialize
+        // as the current version without the executor columns.
         let legacy = "{\"version\":1,\"entries\":[{\"n\":4,\"backend\":\"x\",\
                        \"plan\":\"split[small[2],small[2]]\",\"fuse_budget\":512,\
                        \"simd\":true}]}";
         let w = Wisdom::from_json(legacy).unwrap();
-        assert_eq!(w.tuning(4, "x").unwrap().fuse_budget, Some(512));
-        assert_eq!(w.tuning(4, "x").unwrap().simd, Some(true));
-        assert_eq!(w.tuning(4, "x").unwrap().relayout, None);
-        assert_eq!(w.tuning(4, "x").unwrap().recodelet, None);
-        assert_eq!(w.tuning(4, "x").unwrap().batch, None);
-        assert_eq!(w.tuning(4, "x").unwrap().objective, None);
+        assert_eq!(
+            w.get(4, "x").unwrap().to_string(),
+            "split[small[2],small[2]]"
+        );
+        assert_eq!(w.tuning(4, "x"), Some(Tuning::default()));
         let json = w.to_json();
         assert!(json.contains("\"version\": 7"), "{json}");
         assert!(json.contains("\"tuning\""), "{json}");
+        assert!(
+            !json.contains("fuse_budget") && !json.contains("simd"),
+            "{json}"
+        );
         let back = Wisdom::from_json(&json).unwrap();
         assert_eq!(back, w);
         // Future versions stay rejected.
@@ -1708,35 +1096,25 @@ mod tests {
 
     #[test]
     fn version_3_wisdom_migrates_and_records_no_batch_choice() {
-        // A version-3 store (nested tuning, pre-batch) must load with its
-        // record intact and no batch choice — the reader's own policy
-        // applies — and re-serialize as the current version, replaying
-        // identically.
+        // A version-3 store (nested executor tuning, pre-batch) must load
+        // its plan, re-serialize as the current version, and serve warm
+        // under the reader's own policy — batch stage included.
         let legacy = "{\"version\":3,\"entries\":[{\"n\":12,\"backend\":\
                       \"instruction-model\",\"plan\":\"split[small[4],small[4],\
                       small[4]]\",\"tuning\":{\"fuse_budget\":4096,\"simd\":true,\
                       \"relayout\":0,\"recodelet\":true}}]}";
         let w = Wisdom::from_json(legacy).unwrap();
         assert_eq!(
-            w.tuning(12, "instruction-model").unwrap().fuse_budget,
-            Some(4096)
+            w.get(12, "instruction-model").unwrap().to_string(),
+            "split[small[4],small[4],small[4]]"
         );
-        assert_eq!(
-            w.tuning(12, "instruction-model").unwrap().batch,
-            None,
-            "a stage the blob predates records no choice"
-        );
+        assert_eq!(w.tuning(12, "instruction-model"), Some(Tuning::default()));
         let migrated = Wisdom::from_json(&w.to_json()).unwrap();
         assert_eq!(migrated, w);
-        // The importer's unpinned default batch policy applies, and the
-        // migrated replay is bit-identical to a fresh computation.
-        let mut warm = Planner::new(InstructionCost::default()).with_wisdom(migrated);
-        warm.exec = ExecPolicy::default();
-        assert_eq!(
-            warm.resolved_exec(12).batch,
-            BatchPolicy::default(),
-            "no recorded choice -> the reader's default policy"
-        );
+        let mut warm = Planner::new(InstructionCost::default())
+            .with_wisdom(migrated)
+            .with_exec(ExecPolicy::default());
+        assert_eq!(warm.resolved_exec(12), ExecPolicy::default());
         let mut x: Vec<f64> = (0..1 << 12).map(|j| (j % 13) as f64 - 6.0).collect();
         let want = naive_wht(&x);
         warm.transform(&mut x).unwrap();
@@ -1746,329 +1124,85 @@ mod tests {
 
     #[test]
     fn version_2_wisdom_migrates_and_replays_like_the_recorder() {
-        // A version-2 store (flat fuse_budget/simd/relayout columns, the
-        // PR 4 format) must load with every recorded knob intact...
+        // A version-2 store (flat fuse_budget/simd/relayout columns) must
+        // load its plan, re-serialize as the current version, and replay
+        // that plan warm: bit-identically under the importer's policy
+        // and with every stage off.
         let legacy = "{\"version\":2,\"entries\":[{\"n\":14,\"backend\":\
                       \"instruction-model\",\"plan\":\"split[small[1],small[1],\
                       small[1],small[1],small[1],small[1],small[1],small[1],\
                       small[1],small[1],small[1],small[1],small[1],small[1]]\",\
                       \"fuse_budget\":64,\"simd\":true,\"relayout\":512}]}";
         let w = Wisdom::from_json(legacy).unwrap();
-        assert_eq!(
-            w.tuning(14, "instruction-model").unwrap().fuse_budget,
-            Some(64)
-        );
-        assert_eq!(w.tuning(14, "instruction-model").unwrap().simd, Some(true));
-        assert_eq!(
-            w.tuning(14, "instruction-model").unwrap().relayout,
-            Some(512)
-        );
-        assert_eq!(
-            w.tuning(14, "instruction-model").unwrap().recodelet,
-            None,
-            "a stage the blob predates records no choice"
-        );
-        // ...re-serialize as version 3...
+        let plan = w.get(14, "instruction-model").unwrap().clone();
+        assert_eq!(plan, Plan::iterative(14).unwrap());
+        assert_eq!(w.tuning(14, "instruction-model"), Some(Tuning::default()));
         let migrated = Wisdom::from_json(&w.to_json()).unwrap();
         assert_eq!(migrated, w);
-        // ...and replay the recorded configuration: the resolved policy
-        // matches the legacy per-knob resolution exactly, and with the
-        // post-v2 stages switched off (an unpinned disabled policy is a
-        // kill switch), the compiled schedule is *equal* to what the
-        // pre-pipeline executor compiled for this blob.
-        let mut warm = Planner::new(InstructionCost::default()).with_wisdom(migrated);
-        warm.exec = ExecPolicy::default()
-            .with_recodelet(RecodeletPolicy::disabled())
-            .with_batch(BatchPolicy::disabled());
-        let resolved = warm.resolved_exec(14);
-        assert_eq!(resolved.fusion, FusionPolicy::new(64));
-        assert!(resolved.simd.enabled());
-        assert_eq!(resolved.relayout, replay_relayout(512));
-        let mut x: Vec<f64> = (0..1 << 14).map(|j| (j % 11) as f64 - 5.0).collect();
-        let want = naive_wht(&x);
-        warm.transform(&mut x).unwrap();
-        assert!(max_abs_diff(&x, &want) < 1e-9, "migrated replay is exact");
-        let plan = warm.wisdom().get(14, "instruction-model").unwrap().clone();
-        assert_eq!(
-            warm.compiled.get(&14).unwrap(),
-            &CompiledPlan::compile(&plan)
-                .fuse(&FusionPolicy::new(64))
-                .relayout(&replay_relayout(512))
-                .with_simd(&SimdPolicy::auto()),
-            "v2 blob + later stages off = the pre-refactor schedule, exactly"
-        );
-        // With the importer's default (unpinned) tail policy the schedule
-        // additionally re-codelets — and output bits cannot change.
-        let mut modern = Planner::new(InstructionCost::default())
-            .with_wisdom(Wisdom::from_json(legacy).unwrap());
-        modern.exec = ExecPolicy::default();
-        let mut y: Vec<f64> = (0..1 << 14).map(|j| (j % 11) as f64 - 5.0).collect();
-        modern.transform(&mut y).unwrap();
-        assert_eq!(
-            y, x,
-            "re-codeleted replay of migrated wisdom is bit-identical"
-        );
-        assert!(modern.compiled.get(&14).unwrap().has_recodeleted());
+        let input: Vec<f64> = (0..1 << 14).map(|j| (j % 11) as f64 - 5.0).collect();
+        let mut outputs = Vec::new();
+        for exec in [ExecPolicy::default(), ExecPolicy::all_disabled()] {
+            let mut warm = Planner::new(InstructionCost::default())
+                .with_wisdom(migrated.clone())
+                .with_exec(exec);
+            let mut x = input.clone();
+            warm.transform(&mut x).unwrap();
+            assert_eq!(warm.evaluations(), 0);
+            assert_eq!(
+                warm.compiled.get(&14).unwrap(),
+                &CompiledPlan::compile_exec(&plan, &exec),
+                "the recorded plan under the importer's policy"
+            );
+            outputs.push(x);
+        }
+        assert!(max_abs_diff(&outputs[0], &naive_wht(&input)) < 1e-9);
+        assert_eq!(outputs[0], outputs[1], "the policy never changes bits");
     }
 
     #[test]
     fn unknown_json_fields_are_tolerated() {
         // Forward compatibility: a store written by a newer build with
-        // extra tuning fields must still load here — unknown fields are
-        // ignored, known ones are honored.
-        let future = "{\"version\":3,\"future_knob\":\"xyz\",\"entries\":[{\"n\":4,\
+        // extra fields must still load here — unknown fields are ignored,
+        // known ones are honored.
+        let future = "{\"version\":7,\"future_knob\":\"xyz\",\"entries\":[{\"n\":4,\
                       \"backend\":\"x\",\"plan\":\"split[small[2],small[2]]\",\
-                      \"tuning\":{\"fuse_budget\":64,\"simd\":false,\"relayout\":32,\
-                      \"recodelet\":true,\"prefetch_distance\":8}}]}";
+                      \"future_column\":1,\"tuning\":{\"prefetch_distance\":8,\
+                      \"objective\":\"Memory\"},\"measured_ns\":77}]}";
         let w = Wisdom::from_json(future).unwrap();
-        assert_eq!(w.tuning(4, "x").unwrap().fuse_budget, Some(64));
-        assert_eq!(w.tuning(4, "x").unwrap().simd, Some(false));
-        assert_eq!(w.tuning(4, "x").unwrap().relayout, Some(32));
-        assert_eq!(w.tuning(4, "x").unwrap().recodelet, Some(true));
-    }
-
-    #[test]
-    fn recodelet_resolves_through_the_same_precedence_rule() {
-        // Recorded off beats the importer's default-on...
-        let mut wisdom = Wisdom::new();
-        wisdom
-            .insert_with_tuning(
-                14,
-                "instruction-model",
-                Plan::iterative(14).unwrap(),
-                Tuning {
-                    fuse_budget: Some(1 << 6),
-                    relayout: Some(1 << 9),
-                    recodelet: Some(false),
-                    ..Tuning::default()
-                },
-            )
-            .unwrap();
-        let mut planner = Planner::new(InstructionCost::default()).with_wisdom(wisdom.clone());
-        planner.exec = ExecPolicy::default();
-        let mut x: Vec<f64> = (0..1 << 14).map(|j| (j % 5) as f64).collect();
-        planner.transform(&mut x).unwrap();
-        let compiled = planner.compiled.get(&14).unwrap();
-        assert!(compiled.has_relayout());
-        assert!(
-            !compiled.has_recodeleted(),
-            "recorded recodelet=false must replay per-factor"
+        assert_eq!(
+            w.get(4, "x").unwrap().to_string(),
+            "split[small[2],small[2]]"
         );
-        // ...an unpinned disabled default is a kill switch over a
-        // recorded on...
-        let mut on_record = Wisdom::new();
-        on_record
-            .insert_with_tuning(
-                14,
-                "instruction-model",
-                Plan::iterative(14).unwrap(),
-                Tuning {
-                    fuse_budget: Some(1 << 6),
-                    relayout: Some(1 << 9),
-                    recodelet: Some(true),
-                    ..Tuning::default()
-                },
-            )
-            .unwrap();
-        let mut killed = Planner::new(InstructionCost::default()).with_wisdom(on_record);
-        killed.exec = ExecPolicy::default();
-        killed.exec.recodelet = RecodeletPolicy::disabled();
-        assert!(!killed.resolved_exec(14).recodelet.enabled());
-        // ...and an explicit pin beats the record. (The pin spells out the
-        // recorded fusion/relayout tuning so the schedule is the same on
-        // every CI leg.)
-        let pinned_exec = ExecPolicy::default()
-            .with_fusion(FusionPolicy::new(1 << 6))
-            .with_relayout(replay_relayout(1 << 9));
-        let mut pinned = Planner::new(InstructionCost::default())
-            .with_wisdom(wisdom)
-            .with_exec(pinned_exec);
-        assert_eq!(pinned.resolved_exec(14), pinned_exec);
-        assert!(pinned.resolved_exec(14).recodelet.enabled());
-        let mut y: Vec<f64> = (0..1 << 14).map(|j| (j % 5) as f64).collect();
-        pinned.transform(&mut y).unwrap();
-        assert!(pinned.compiled.get(&14).unwrap().has_recodeleted());
-        assert_eq!(y, x, "re-codeleting never changes output bits");
-    }
-
-    #[test]
-    fn stream_resolves_through_the_same_precedence_rule() {
-        let record = |stream| {
-            let mut wisdom = Wisdom::new();
-            wisdom
-                .insert_with_tuning(
-                    10,
-                    "instruction-model",
-                    Plan::iterative(10).unwrap(),
-                    Tuning {
-                        stream: Some(stream),
-                        ..Tuning::default()
-                    },
-                )
-                .unwrap();
-            Planner::new(InstructionCost::default()).with_wisdom(wisdom)
-        };
-        // Recorded off beats the importer's enabled default...
-        let mut off = record(false);
-        off.exec.stream = StreamPolicy::eager();
-        assert!(!off.resolved_exec(10).stream.enabled());
-        // ...a recorded on replays through the reader's own threshold...
-        let mut on = record(true);
-        on.exec.stream = StreamPolicy::new(1 << 20);
-        assert_eq!(on.resolved_exec(10).stream, StreamPolicy::new(1 << 20));
-        // ...and an unpinned disabled default is a kill switch over it.
-        on.exec.stream = StreamPolicy::disabled();
-        assert!(!on.resolved_exec(10).stream.enabled());
+        assert_eq!(
+            w.tuning(4, "x").unwrap().objective,
+            Some(CostObjective::Memory)
+        );
+        assert_eq!(w.measured_ns(4, "x"), Some(77));
     }
 
     #[test]
     fn with_exec_pins_every_knob() {
-        // Wisdom records a full executor configuration; with_exec must
-        // beat all of it at once.
-        let mut wisdom = Wisdom::new();
-        wisdom
-            .insert_with_tuning(
-                14,
-                "instruction-model",
-                Plan::iterative(14).unwrap(),
-                Tuning {
-                    fuse_budget: Some(1 << 6),
-                    simd: Some(true),
-                    relayout: Some(1 << 9),
-                    recodelet: Some(true),
-                    batch: Some(16),
-                    stream: Some(true),
-                    objective: None,
-                },
-            )
-            .unwrap();
+        // Wisdom recorded under the default policy carries no executor
+        // configuration, so the importer's with_exec value governs every
+        // stage at every recorded size.
+        let mut tuned = Planner::new(InstructionCost::default()).with_exec(ExecPolicy::default());
+        tuned.plan(14).unwrap();
+        let wisdom = Wisdom::from_json(&tuned.wisdom().to_json()).unwrap();
         let mut planner = Planner::new(InstructionCost::default())
             .with_wisdom(wisdom)
             .with_exec(ExecPolicy::all_disabled());
-        let resolved = planner.resolved_exec(14);
-        assert!(!resolved.fusion.enabled());
-        assert!(!resolved.simd.enabled());
-        assert!(!resolved.relayout.enabled());
-        assert!(!resolved.recodelet.enabled());
-        assert!(!resolved.batch.enabled());
-        assert!(!resolved.stream.enabled());
+        for n in 1..=14 {
+            assert_eq!(planner.resolved_exec(n), ExecPolicy::all_disabled());
+        }
         let mut x: Vec<f64> = (0..1 << 14).map(|j| (j % 5) as f64).collect();
         let want = naive_wht(&x);
         planner.transform(&mut x).unwrap();
         assert!(max_abs_diff(&x, &want) < 1e-9);
+        assert_eq!(planner.evaluations(), 0);
         let compiled = planner.compiled.get(&14).unwrap();
         assert!(!compiled.is_fused() && !compiled.is_simd());
         assert!(!compiled.has_relayout() && !compiled.has_recodeleted());
         assert!(!compiled.is_batched());
-    }
-
-    #[test]
-    fn wisdom_records_the_batch_threshold_and_round_trips_it() {
-        // The record is read off the lowered schedule: small sizes build
-        // the batch product and record the policy's threshold; a size
-        // past the batch cap records 0 even though the policy is on.
-        let mut planner = Planner::new(InstructionCost::default())
-            .with_exec(ExecPolicy::from_env().with_batch(BatchPolicy::new(32)));
-        planner.plan(10).unwrap();
-        for m in 1..=10u32 {
-            assert_eq!(
-                planner
-                    .wisdom()
-                    .tuning(m, "instruction-model")
-                    .unwrap()
-                    .batch,
-                Some(32),
-                "sizes within the cap record the threshold at n = {m}"
-            );
-        }
-        let back = Wisdom::from_json(&planner.wisdom().to_json()).unwrap();
-        assert_eq!(&back, planner.wisdom());
-        assert_eq!(
-            back.tuning(10, "instruction-model").unwrap().batch,
-            Some(32)
-        );
-
-        // A batch-off planner records 0, distinct from "not recorded".
-        let mut off = Planner::new(InstructionCost::default())
-            .with_exec(ExecPolicy::from_env().with_batch(BatchPolicy::disabled()));
-        off.plan(4).unwrap();
-        assert_eq!(
-            off.wisdom().tuning(4, "instruction-model").unwrap().batch,
-            Some(0)
-        );
-
-        // A size past the batch cap records 0 under an enabled policy.
-        let mut big = Planner::new(InstructionCost::default())
-            .with_exec(ExecPolicy::from_env().with_batch(BatchPolicy::new(32)));
-        big.plan(20).unwrap();
-        assert_eq!(
-            big.wisdom().tuning(20, "instruction-model").unwrap().batch,
-            Some(0)
-        );
-        assert_eq!(
-            big.wisdom().tuning(10, "instruction-model").unwrap().batch,
-            Some(32)
-        );
-
-        // An importing planner with an unpinned default policy replays
-        // the recorded threshold.
-        let mut warm = Planner::new(InstructionCost::default()).with_wisdom(back);
-        warm.exec.batch = BatchPolicy::default();
-        assert_eq!(warm.resolved_exec(10).batch, BatchPolicy::new(32));
-    }
-
-    #[test]
-    fn batch_kill_switch_and_pinning_beat_recorded_thresholds() {
-        // Imported wisdom tuned with batching must not re-enable it past
-        // an (unpinned) disabled policy — what WHT_NO_BATCH=1 produces at
-        // construction.
-        let mut wisdom = Wisdom::new();
-        wisdom
-            .insert_with_tuning(
-                10,
-                "instruction-model",
-                Plan::iterative(10).unwrap(),
-                Tuning {
-                    batch: Some(16),
-                    ..Tuning::default()
-                },
-            )
-            .unwrap();
-        let mut planner = Planner::new(InstructionCost::default()).with_wisdom(wisdom.clone());
-        planner.exec.batch = BatchPolicy::disabled();
-        assert!(
-            !planner.resolved_exec(10).batch.enabled(),
-            "a disabled default policy must beat the recorded threshold"
-        );
-        let mut x: Vec<f64> = (0..1024).map(|j| (j % 5) as f64).collect();
-        planner.transform(&mut x).unwrap();
-        assert!(!planner.compiled.get(&10).unwrap().is_batched());
-
-        // Recorded off beats the importer's default-on...
-        let mut off_record = Wisdom::new();
-        off_record
-            .insert_with_tuning(
-                10,
-                "instruction-model",
-                Plan::iterative(10).unwrap(),
-                Tuning {
-                    batch: Some(0),
-                    ..Tuning::default()
-                },
-            )
-            .unwrap();
-        let mut reader = Planner::new(InstructionCost::default()).with_wisdom(off_record);
-        reader.exec.batch = BatchPolicy::default();
-        assert!(!reader.resolved_exec(10).batch.enabled());
-
-        // ...and an explicit with_exec pin beats the record both ways.
-        let pinned = Planner::new(InstructionCost::default())
-            .with_wisdom(wisdom)
-            .with_exec(ExecPolicy::from_env().with_batch(BatchPolicy::disabled()));
-        assert!(!pinned.resolved_exec(10).batch.enabled());
-        let batch = pinned.exec().with_batch(BatchPolicy::new(8));
-        let repinned = pinned.with_exec(batch);
-        assert_eq!(repinned.resolved_exec(10).batch, BatchPolicy::new(8));
     }
 
     #[test]
@@ -2149,8 +1283,8 @@ mod tests {
 
     #[test]
     fn version_4_wisdom_migrates_and_records_no_objective() {
-        // A version-4 store (pre-objective) must load with its tuning
-        // intact and no objective recorded — so a default-weighted reader
+        // A version-4 store (pre-objective) must load its plan with no
+        // objective recorded — so a default-weighted reader
         // replays it, and an objective-aimed reader re-searches.
         let legacy = "{\"version\":4,\"entries\":[{\"n\":10,\"backend\":\
                       \"combined-model\",\"plan\":\"split[small[5],small[5]]\",\
@@ -2158,8 +1292,8 @@ mod tests {
                       \"relayout\":0,\"recodelet\":true,\"batch\":0}}]}";
         let w = Wisdom::from_json(legacy).unwrap();
         assert_eq!(
-            w.tuning(10, "combined-model").unwrap().fuse_budget,
-            Some(4096)
+            w.get(10, "combined-model").unwrap().to_string(),
+            "split[small[5],small[5]]"
         );
         assert_eq!(
             w.tuning(10, "combined-model").unwrap().objective,

@@ -1,12 +1,14 @@
-//! Corruption coverage for the full wisdom version corpus (satellite 3):
-//! every historical blob format (v1–v6, plus current v7) in truncated,
+//! Compatibility and corruption coverage for the full wisdom version
+//! corpus: every historical blob format (v1–v6, plus current v7) loads,
+//! re-serializes as version 7 without executor fields, and in truncated,
 //! bit-flipped, and future-version form must be rejected with the right
-//! `StoreDiagnostic` through `Wisdom::load_or_default`, and a damaged
-//! blob must never be partially applied.
+//! `StoreDiagnostic` through `Wisdom::load_or_default`; a damaged or
+//! out-of-range blob must never be partially applied.
 
 use std::fs;
 use std::path::PathBuf;
-use wht_search::{failpoints, StoreDiagnostic, Wisdom};
+use wht_core::Plan;
+use wht_search::{failpoints, InstructionCost, Planner, StoreDiagnostic, Wisdom};
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir =
@@ -88,14 +90,71 @@ fn every_corpus_blob_loads_clean_as_a_control() {
     let p = w.provenance(4, "x").expect("provenance restored");
     assert_eq!(p.composition.as_deref(), Some(&[2u32, 2][..]));
     assert_eq!((p.candidates, p.evaluated, p.pruned), (8, 5, 3));
-    // And the v7 blob restores its stream choice.
+    // And the v7 blob, whose executor fields are ignored, restores its
+    // plan and measurement.
     let (_, v7) = corpus()
         .into_iter()
         .find(|(tag, _)| *tag == "v7-stream")
         .unwrap();
     let w = Wisdom::from_json(&v7).unwrap();
-    assert_eq!(w.tuning(4, "x").unwrap().stream, Some(true));
+    assert_eq!(
+        w.get(4, "x").unwrap().to_string(),
+        "split[small[2],small[2]]"
+    );
     assert_eq!(w.measured_ns(4, "x"), Some(880));
+}
+
+/// The executor fields older builds wrote (see the format history in
+/// `wht_search::planner`); this build reads past them and never writes
+/// them.
+const EXECUTOR_FIELDS: [&str; 6] = [
+    "fuse_budget",
+    "simd",
+    "relayout",
+    "recodelet",
+    "batch",
+    "stream",
+];
+
+#[test]
+fn this_build_writes_version_7_without_executor_fields() {
+    let mut planner = Planner::new(InstructionCost::default());
+    planner.plan(10).unwrap();
+    let mut documents = vec![planner.wisdom().to_json()];
+    for (tag, blob) in corpus() {
+        let w = Wisdom::from_json(&blob).unwrap_or_else(|e| panic!("[{tag}] {e}"));
+        documents.push(w.to_json());
+    }
+    for json in documents {
+        assert!(json.contains("\"version\": 7"), "{json}");
+        for field in EXECUTOR_FIELDS {
+            assert!(!json.contains(&format!("\"{field}\"")), "{field}: {json}");
+        }
+        let w = Wisdom::from_json(&json).unwrap();
+        assert_eq!(Wisdom::from_json(&w.to_json()).unwrap(), w);
+        assert_eq!(w.to_json(), json, "re-serialization is stable");
+    }
+}
+
+#[test]
+fn out_of_range_sizes_are_rejected_without_panicking() {
+    let _isolate = failpoints::scope();
+    let blob = "{\"version\":7,\"entries\":[{\"n\":70,\"backend\":\"x\",\"plan\":\"small[2]\"}]}";
+    assert!(Wisdom::from_json(blob).is_err());
+    let dir = temp_dir("range");
+    let path = dir.join("n70.json");
+    fs::write(&path, blob).unwrap();
+    let (w, diags) = Wisdom::load_or_default(&path);
+    assert!(w.is_empty());
+    assert_eq!(diags.len(), 1);
+    assert!(
+        matches!(diags[0], StoreDiagnostic::Corrupt { .. }),
+        "got {}",
+        diags[0]
+    );
+    let _ = fs::remove_dir_all(&dir);
+    let plan = Plan::iterative(2).unwrap();
+    assert!(Wisdom::new().insert(70, "x", plan).is_err());
 }
 
 #[test]

@@ -9,21 +9,16 @@
 //!
 //! Executor knobs: served transforms replay schedules lowered through the
 //! staged pipeline of `wht_core::compile` (`lowering_stages`) under
-//! **one** `ExecPolicy`. Each wisdom entry records the
-//! executor `Tuning` it was recorded with, and every knob of an importing
-//! planner resolves through one precedence rule: **API pin > wisdom >
-//! environment > default**. Concretely:
+//! **one** `ExecPolicy`, the serving planner's own. Wisdom entries carry
+//! plans, not executor configuration, so the policy follows one rule:
+//! **API value > `WHT_NO_*` kill switch > default**. Concretely:
 //!
-//! - `.with_exec(policy)` pins the whole configuration — recorded wisdom
-//!   no longer overrides any stage. To change one stage, pin
-//!   `ExecPolicy::from_env().with_fusion(...)` (or `.with_simd(...)`,
-//!   `.with_relayout(...)`, …).
-//! - Each stage's `WHT_NO_*` kill switch (the `wht_core::env` table)
-//!   disables it process-wide, and imported wisdom can never re-enable
-//!   it. The environment only switches stages off; other settings are
-//!   `ExecPolicy::with_*` values pinned through `with_exec`.
-//! - Otherwise recorded tuning replays the recorder's configuration per
-//!   size, and the environment snapshot / defaults fill the gaps.
+//! - `.with_exec(policy)` sets the whole configuration. To change one
+//!   stage, pass `ExecPolicy::from_env().with_fusion(...)` (or
+//!   `.with_simd(...)`, `.with_relayout(...)`, …).
+//! - Otherwise each stage runs its default unless its `WHT_NO_*` kill
+//!   switch (the `wht_core::env` table) disables it process-wide;
+//!   imported wisdom cannot re-enable it.
 
 use std::time::Instant;
 use wht::prelude::*;
@@ -111,7 +106,7 @@ fn main() -> Result<(), WhtError> {
         looped / batched.max(f64::EPSILON)
     );
 
-    // The configuration a size actually compiles under is one resolved
+    // The configuration every size compiles under is the server's one
     // ExecPolicy — inspectable without compiling anything.
     let resolved: ExecPolicy = server.resolved_exec(n);
     let on_off = |on: bool| if on { "on" } else { "off" };
@@ -129,7 +124,7 @@ fn main() -> Result<(), WhtError> {
         on_off(resolved.batch.enabled()),
         resolved.batch.block_rows,
     );
-    println!("(kill switches: the WHT_NO_* table in wht_core::env; pin: with_exec)");
+    println!("(kill switches: the WHT_NO_* table in wht_core::env; API value: with_exec)");
     assert_eq!(
         server.evaluations(),
         0,

@@ -196,54 +196,40 @@ fn planner_fusion_on_and_off_match_golden_vectors() {
     }
 }
 
-/// The FFTW-style wisdom workflow carries the executor configuration:
-/// the tile budget a planner tuned with survives the JSON round trip and
-/// governs the importing planner's compilation for that size.
+/// The FFTW-style wisdom workflow: a planner tuned under a custom tile
+/// budget exports its plans as JSON, and an importing planner serves them
+/// with zero searches under its own executor configuration — bit for bit
+/// what the tuner computed, since wisdom carries plans and every
+/// executor configuration computes the same bits.
 #[test]
 fn wisdom_round_trip_preserves_the_recorded_tile_budget() {
     use wht::core::FusionPolicy;
-    let budget = 4096usize;
     let mut tuned = Planner::new(InstructionCost::default())
-        .with_exec(ExecPolicy::from_env().with_fusion(FusionPolicy::new(budget)));
-    let mut x: Vec<f64> = (0..1 << 10).map(|j| (j % 23) as f64 - 11.0).collect();
-    let want = naive_wht(&x);
+        .with_exec(ExecPolicy::from_env().with_fusion(FusionPolicy::new(4096)));
+    let input: Vec<f64> = (0..1 << 10).map(|j| (j % 23) as f64 - 11.0).collect();
+    let mut x = input.clone();
     tuned.transform(&mut x).unwrap();
-    assert!(wht::core::max_abs_diff(&x, &want) < 1e-9);
+    assert!(wht::core::max_abs_diff(&x, &naive_wht(&input)) < 1e-9);
 
-    let json = tuned.wisdom().to_json();
-    assert!(json.contains("fuse_budget"), "budget must be serialized");
-    let restored = Wisdom::from_json(&json).unwrap();
+    let restored = Wisdom::from_json(&tuned.wisdom().to_json()).unwrap();
     assert_eq!(&restored, tuned.wisdom());
-    let budget = Some(budget as u64);
-    assert_eq!(
-        restored
-            .tuning(10, tuned.backend_name())
-            .unwrap()
-            .fuse_budget,
-        budget
-    );
 
-    // A warm import serves the size with zero searches under the
-    // recorded budget.
     let mut warm = Planner::new(InstructionCost::default()).with_wisdom(restored);
-    let mut y: Vec<f64> = (0..1 << 10).map(|j| (j % 23) as f64 - 11.0).collect();
+    assert_eq!(warm.resolved_exec(10), ExecPolicy::from_env());
+    let mut y = input;
     warm.transform(&mut y).unwrap();
-    assert!(wht::core::max_abs_diff(&y, &want) < 1e-9);
+    assert_eq!(y, x, "the imported plan replays bit-identically");
     assert_eq!(warm.evaluations(), 0);
     assert_eq!(
-        warm.wisdom()
-            .tuning(10, warm.backend_name())
-            .unwrap()
-            .fuse_budget,
-        budget
+        warm.wisdom().get(10, warm.backend_name()),
+        tuned.wisdom().get(10, tuned.backend_name())
     );
 }
 
-/// The wisdom workflow carries the relayout tuning end to end: a planner
-/// tuned with an eager relayout policy records it per size, the record
-/// survives JSON, and the full executor pipeline (fusion + relayout +
-/// SIMD) reproduces the integer golden vectors bit for bit against the
-/// in-place configurations.
+/// Wisdom round-trips through JSON from a planner running the full
+/// executor pipeline (fusion + eager relayout + SIMD), and the imported
+/// plan reproduces the integer golden vectors bit for bit with the tail
+/// relayouted and in place.
 #[test]
 fn planner_relayout_round_trips_and_matches_golden_vectors() {
     use wht::core::testkit::{random_signal, reference_wht};
@@ -252,43 +238,23 @@ fn planner_relayout_round_trips_and_matches_golden_vectors() {
     let ints: Vec<i64> = random_signal(1usize << n, 4242);
     let golden = reference_wht(&ints);
 
-    let tuned_exec = ExecPolicy::from_env()
-        .with_fusion(FusionPolicy::new(1 << 6))
-        .with_relayout(RelayoutPolicy::eager(1 << 9));
-    let mut tuned = Planner::new(InstructionCost::default()).with_exec(tuned_exec);
+    let fused = ExecPolicy::from_env().with_fusion(FusionPolicy::new(1 << 6));
+    let mut tuned = Planner::new(InstructionCost::default())
+        .with_exec(fused.with_relayout(RelayoutPolicy::eager(1 << 9)));
     let mut a = ints.clone();
     tuned.transform(&mut a).unwrap();
     assert_eq!(a, golden, "relayout path must hit the golden vector");
-    // The wisdom record reflects what the executor actually compiled for
-    // this size: the budget where the chosen plan's schedule relayouts,
-    // 0 where its tail is too short to gather.
-    let chosen = tuned.plan(n).unwrap().clone();
-    let executed = wht::core::CompiledPlan::compile(&chosen)
-        .fuse(&tuned_exec.fusion)
-        .relayout(&tuned_exec.relayout)
-        .has_relayout();
-    assert_eq!(
-        tuned
-            .wisdom()
-            .tuning(n, tuned.backend_name())
-            .unwrap()
-            .relayout,
-        Some(if executed { 1 << 9 } else { 0 })
-    );
 
-    let json = tuned.wisdom().to_json();
-    assert!(json.contains("relayout"), "tuning must be serialized");
-    let restored = Wisdom::from_json(&json).unwrap();
+    let restored = Wisdom::from_json(&tuned.wisdom().to_json()).unwrap();
     assert_eq!(&restored, tuned.wisdom());
 
-    let mut off = Planner::new(InstructionCost::default()).with_exec(
-        ExecPolicy::from_env()
-            .with_fusion(FusionPolicy::new(1 << 6))
-            .with_relayout(RelayoutPolicy::disabled()),
-    );
+    let mut off = Planner::new(InstructionCost::default())
+        .with_wisdom(restored)
+        .with_exec(fused.with_relayout(RelayoutPolicy::disabled()));
     let mut b = ints.clone();
     off.transform(&mut b).unwrap();
     assert_eq!(b, golden, "in-place tail must hit the same golden vector");
+    assert_eq!(off.evaluations(), 0, "the imported plan serves warm");
 }
 
 /// Sequency-ordered spectrum analysis works through the whole public API.

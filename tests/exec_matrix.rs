@@ -8,9 +8,11 @@
 //! batch schedule, and the trivial units of the all-off baseline — and
 //! (b) bit-identity with `reference_wht` for all four scalar types
 //! through `Planner` (`transform`, `transform_batch`), `compiled_for_exec`
-//! and `par_apply_compiled`. The policy is passed as a value, so one
-//! process covers every point; the `exec_gate` test in `wht-core` checks
-//! that the environment's kill switches reach the same policies.
+//! and `par_apply_compiled`, with each point's planner serving wisdom
+//! recorded under a different point and still compiling under its own
+//! policy. The policy is passed as a value, so one process covers every
+//! point; the `exec_gate` test in `wht-core` checks that the environment's
+//! kill switches reach the same policies.
 
 use wht::core::testkit::{random_plan, random_signal, reference_wht};
 use wht::prelude::*;
@@ -128,6 +130,14 @@ fn every_policy_point_compiles_the_shape_it_names() {
 /// stages at every size through their `eager` policies).
 const SIZES: [u32; 4] = [1, 5, 10, 13];
 
+/// Wisdom for every served size, recorded by a planner set to `recorder`
+/// and shipped through JSON.
+fn wisdom_recorded_under(recorder: ExecPolicy) -> Wisdom {
+    let mut planner = Planner::new(InstructionCost::default()).with_exec(recorder);
+    planner.plan(SIZES[SIZES.len() - 1]).unwrap();
+    Wisdom::from_json(&planner.wisdom().to_json()).unwrap()
+}
+
 fn assert_every_path_matches_reference<T: Scalar>(
     p: &ExecPolicy,
     planner: &mut Planner<InstructionCost>,
@@ -137,6 +147,7 @@ fn assert_every_path_matches_reference<T: Scalar>(
         let seed = 7 * i as u64 + 1;
         let input = random_signal::<T>(len, seed);
         let want = reference_wht(&input);
+        assert_eq!(planner.resolved_exec(n), *p, "policy at n = {n}");
 
         let mut x = input.clone();
         planner.transform(&mut x).unwrap();
@@ -169,12 +180,30 @@ fn every_policy_point_is_bit_identical_to_the_reference() {
     // The signals are small integers, so every scalar type (f32 included)
     // computes these sizes exactly and any plan must match the reference
     // bit for bit.
+    // Each planner serves wisdom recorded under another point, which
+    // must not change the policy it compiles under.
     for p in policy_points() {
-        let mut planner = Planner::new(InstructionCost::default()).with_exec(p);
-        assert_eq!(planner.resolved_exec(SIZES[0]), p);
+        let recorder = if p == ExecPolicy::all_disabled() {
+            ExecPolicy::default()
+        } else {
+            ExecPolicy::all_disabled()
+        };
+        let mut planner = Planner::new(InstructionCost::default())
+            .with_wisdom(wisdom_recorded_under(recorder))
+            .with_exec(p);
         assert_every_path_matches_reference::<f64>(&p, &mut planner);
         assert_every_path_matches_reference::<f32>(&p, &mut planner);
         assert_every_path_matches_reference::<i64>(&p, &mut planner);
         assert_every_path_matches_reference::<i32>(&p, &mut planner);
+        assert_eq!(planner.evaluations(), 0, "served from wisdom, {p:?}");
+    }
+    // A planner without with_exec compiles under the environment's policy
+    // whatever wisdom it imports: under the all-off environment, wisdom
+    // recorded with every stage on cannot re-enable one.
+    let env = ExecPolicy::from_env();
+    for recorder in [ExecPolicy::default(), ExecPolicy::all_disabled()] {
+        let mut planner =
+            Planner::new(InstructionCost::default()).with_wisdom(wisdom_recorded_under(recorder));
+        assert_every_path_matches_reference::<f64>(&env, &mut planner);
     }
 }
