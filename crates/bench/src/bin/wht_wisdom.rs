@@ -8,14 +8,17 @@
 //! ```
 //!
 //! `inspect` and `fsck` never modify the store unless `--quarantine` is
-//! passed; `merge` applies the store's keep-best rule (measured-fastest
-//! per `(n, backend)` key when evidence exists, else newest write stamp)
-//! and commits the merged result into `<out-dir>` as atomically written
-//! shards under this host's fingerprint. Damaged input shards are
-//! reported and skipped, never merged and never deleted. Exit status is
-//! nonzero when `fsck` finds damage or any command cannot run.
+//! passed, and refuse a `<store-dir>` that is not an existing directory
+//! (so a mistyped path is an error, not an empty healthy store). `merge`
+//! creates `<out-dir>` if needed, applies the store's keep-best rule
+//! (measured-fastest per `(n, backend)` key when evidence exists, else
+//! newest write stamp) and commits the merged result into `<out-dir>` as
+//! atomically written shards under this host's fingerprint. Damaged
+//! input shards are reported and skipped, never merged and never
+//! deleted. Exit status is nonzero when `fsck` finds damage or any
+//! command cannot run.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use wht_search::{ShardedStore, StoreDiagnostic};
 
@@ -32,19 +35,31 @@ fn report_damage(diagnostics: &[StoreDiagnostic]) {
     }
 }
 
-fn cmd_inspect(dir: &str) -> ExitCode {
-    let store = match ShardedStore::open(dir) {
-        Ok(store) => store,
+/// Open the store at `dir` for the read-only commands, which must not
+/// create it: a path that is not an existing directory is an error.
+fn open_existing(dir: &str) -> Option<ShardedStore> {
+    if !Path::new(dir).is_dir() {
+        eprintln!("wht-wisdom: {dir} is not an existing store directory");
+        return None;
+    }
+    match ShardedStore::open(dir) {
+        Ok(store) => Some(store),
         Err(e) => {
             eprintln!("wht-wisdom: cannot open {dir}: {e}");
-            return ExitCode::FAILURE;
+            None
         }
+    }
+}
+
+fn cmd_inspect(dir: &str) -> ExitCode {
+    let Some(store) = open_existing(dir) else {
+        return ExitCode::FAILURE;
     };
-    let (intact, diagnostics) = store.fsck();
-    let loaded = store.load();
+    let loaded = store.fsck();
     println!(
-        "store {dir}: {intact} intact shard(s), {} damaged, host fingerprint {}",
-        diagnostics.len(),
+        "store {dir}: {} intact shard(s), {} damaged, host fingerprint {}",
+        loaded.shards_loaded,
+        loaded.diagnostics.len(),
         store.host()
     );
     let mut keys = loaded.wisdom.entry_keys();
@@ -70,29 +85,26 @@ fn cmd_inspect(dir: &str) -> ExitCode {
 }
 
 fn cmd_fsck(dir: &str, quarantine: bool) -> ExitCode {
-    let store = match ShardedStore::open(dir) {
-        Ok(store) => store,
-        Err(e) => {
-            eprintln!("wht-wisdom: cannot open {dir}: {e}");
-            return ExitCode::FAILURE;
-        }
+    let Some(store) = open_existing(dir) else {
+        return ExitCode::FAILURE;
     };
-    let (intact, diagnostics) = if quarantine {
+    let loaded = if quarantine {
         let loaded = store.load();
         println!(
             "store {dir}: {} damaged shard(s) moved to quarantine/",
             loaded.quarantined
         );
-        (loaded.shards_loaded, loaded.diagnostics)
+        loaded
     } else {
         store.fsck()
     };
     println!(
-        "store {dir}: {intact} intact shard(s), {} damaged",
-        diagnostics.len()
+        "store {dir}: {} intact shard(s), {} damaged",
+        loaded.shards_loaded,
+        loaded.diagnostics.len()
     );
-    report_damage(&diagnostics);
-    if diagnostics.is_empty() {
+    report_damage(&loaded.diagnostics);
+    if loaded.diagnostics.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

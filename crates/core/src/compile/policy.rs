@@ -295,8 +295,9 @@ pub struct BatchPolicy {
 impl BatchPolicy {
     /// Default engagement threshold: one full lane group of the widest
     /// scalar type (16 rows — `f32`/`i32` lane width; two groups of
-    /// `f64`/`i64`). Measured (AVX2 host, f64, `BENCH_batch.json`), the
-    /// cross path wins decisively where lone transforms leave lanes idle
+    /// `f64`/`i64`). Measured when the stage landed (AVX2 host, f64,
+    /// min-of-9; the batched-small entry of `CHANGES.md`), the cross path
+    /// wins decisively where lone transforms leave lanes idle
     /// (3.2–4.3× aggregate over a per-transform `apply_plan` loop at
     /// n = 6, 1.5–1.9× at n = 8) and is within noise of the per-row
     /// replay once the full-width tail dominates (n ≥ 10), so the default

@@ -22,10 +22,12 @@
 //!   search, and the paper's model-pruned search;
 //! * [`planner`] — the production facade: a [`Planner`] owning a cost
 //!   backend, amortizing memoized search across calls through an
-//!   FFTW-style [`Wisdom`] cache (JSON save/load) and serving transforms
-//!   from compiled pass schedules;
-//! * [`store`] — the crash-safe persistence layer under that cache (see
-//!   the contract below);
+//!   FFTW-style [`Wisdom`] cache and serving transforms from compiled
+//!   pass schedules;
+//! * [`wisdom`] — that cache's data and its one JSON format (with the
+//!   format history);
+//! * [`store`] — the crash-safe persistence layer under that cache, the
+//!   one durable form of wisdom (see the contract below);
 //! * [`failpoints`] — the hermetic fault-injection layer that proves the
 //!   store's claims.
 //!
@@ -37,17 +39,16 @@
 //! length, FNV-1a 64 checksum) over a single-entry wisdom JSON payload.
 //! The guarantees, in order of line of defense:
 //!
-//! 1. **Atomic commit** ([`atomic_write`]): every shard (and the legacy
-//!    single-blob [`Wisdom::save`], and `wht-bench`'s `BENCH_*.json`
-//!    artifacts) is written temp-file → fsync → rename → dir-fsync. A
-//!    crash at any byte leaves the previous committed file intact;
-//!    uncommitted temp files are never loaded.
+//! 1. **Atomic commit** ([`atomic_write`]): every shard (and
+//!    `wht-bench`'s `BENCH_search.json` and results CSVs) is written
+//!    temp-file → fsync → rename → dir-fsync. A crash at any byte leaves
+//!    the previous committed file intact; uncommitted temp files are
+//!    never loaded.
 //! 2. **Detection** ([`decode_shard`]): a shard damaged anyway —
-//!    truncated, bit-flipped, bad magic, future container version — is
-//!    *detectable*, never *loadable*; the failure is a typed
+//!    truncated, bit-flipped, bad magic, future container or wisdom
+//!    version — is *detectable*, never *loadable*; the failure is a typed
 //!    [`StoreDiagnostic`] (`Corrupt` / `Truncated` / `VersionUnknown` /
-//!    `ChecksumMismatch` / `IoFailed`), and the same classification
-//!    covers legacy blobs ([`Wisdom::load_or_default`]).
+//!    `ChecksumMismatch` / `IoFailed`).
 //! 3. **Quarantine, not failure** ([`ShardedStore::load`]): bad shards
 //!    move into `quarantine/` with their diagnostic; the remaining
 //!    shards merge normally (best entry per key: measured-fastest when
@@ -90,6 +91,7 @@ pub mod memo;
 pub mod planner;
 pub mod store;
 pub mod strategies;
+pub mod wisdom;
 
 pub use calibrate::{calibrate, CalibrateOptions, CalibratedCost};
 pub use cost::{
@@ -100,9 +102,10 @@ pub use dp::{dp_search, split_compositions, DpOptions, DpResult};
 pub use failpoints::Fault;
 pub use local::{local_search, mutate, LocalSearchOptions};
 pub use memo::{memo_search, memo_to_dp_result, Group, GroupProvenance, MemoResult, MemoTable};
-pub use planner::{PlanProvenance, Planner, Tuning, Wisdom};
+pub use planner::Planner;
 pub use store::{
     atomic_write, decode_shard, encode_shard, fnv1a64, host_fingerprint, ShardedStore,
     StoreDiagnostic, StoreLoad,
 };
 pub use strategies::{exhaustive_search, pruned_search, random_search, PrunedSearchResult, Ranked};
+pub use wisdom::{PlanProvenance, Tuning, Wisdom};

@@ -1,9 +1,9 @@
 //! Crash-safe sharded wisdom store.
 //!
-//! [`crate::Wisdom`] alone is one JSON blob per process: a torn write or
-//! a corrupt byte loses the fleet's entire tuning history. This module is
-//! the durable layer underneath it — the "persistent memo" the roadmap
-//! points at (optd's persistent memo store; FFTW's on-disk wisdom):
+//! The one durable form of [`crate::Wisdom`]: one small checksummed file
+//! per entry, so a torn write or a corrupt byte costs one entry, never the
+//! fleet's entire tuning history — a persistent memo in the manner of
+//! optd's memo store and FFTW's on-disk wisdom:
 //!
 //! ## Shard layout
 //!
@@ -30,7 +30,8 @@
 //! 12      8     write stamp (unix seconds), u64 LE
 //! 20      8     payload length, u64 LE
 //! 28      8     FNV-1a 64 checksum of the payload, u64 LE
-//! 36      len   payload: one wisdom JSON document (current version)
+//! 36      len   payload: one wisdom JSON document (current version,
+//!               see crate::wisdom)
 //! ```
 //!
 //! ## Crash-safety contract
@@ -42,12 +43,12 @@
 //! ignores — uncommitted writes never surface). A shard that is
 //! nevertheless damaged (torn by an unclean filesystem, bit-flipped,
 //! truncated, written by a future version) is **detectable** via the
-//! header and is *quarantined*, never loaded: [`ShardedStore::load`]
-//! moves it into `quarantine/` and reports a typed [`StoreDiagnostic`]
-//! while the remaining shards load normally. The store never panics and
-//! never fails an entire load because one shard is bad; with 100% of
-//! shards bad the result is an empty [`Wisdom`] plus diagnostics, and a
-//! [`crate::Planner`] degrades to a cold search (see
+//! header and payload and is *quarantined*, never loaded:
+//! [`ShardedStore::load`] moves it into `quarantine/` and reports a typed
+//! [`StoreDiagnostic`] while the remaining shards load normally. The
+//! store never panics and never fails an entire load because one shard
+//! is bad; with 100% of shards bad the result is an empty [`Wisdom`] plus
+//! diagnostics, and a [`crate::Planner`] degrades to a cold search (see
 //! [`crate::Planner::with_store`]).
 //!
 //! Every failure path above is exercised by the fault-injection matrix in
@@ -56,7 +57,7 @@
 //! kill-at-any-byte truncation at each named IO site).
 
 use crate::failpoints::{self, Fault};
-use crate::planner::{classify_wisdom_json, Wisdom, WisdomRecord};
+use crate::wisdom::{unsupported_version, Wisdom, WisdomRecord};
 use std::collections::HashMap;
 use std::fmt;
 use std::fs::{self, File};
@@ -75,29 +76,31 @@ pub const SHARD_VERSION: u32 = 1;
 /// Fixed header length in bytes.
 pub const SHARD_HEADER_LEN: usize = 36;
 
-/// Why a shard (or a legacy wisdom blob) was refused and quarantined.
+/// Why a shard was refused and quarantined.
 /// One variant per failure class so operators and tests can tell a
 /// truncation from a flipped bit from a future format.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StoreDiagnostic {
-    /// Structurally unreadable: bad magic, malformed JSON, an invalid
-    /// plan string — the bytes do not decode as a shard at all.
+    /// Structurally unreadable: bad magic, trailing bytes, a payload
+    /// that is not a valid wisdom document (malformed JSON, an invalid
+    /// plan string, an out-of-range size).
     Corrupt {
         /// File name (or path) of the offending shard.
         shard: String,
         /// What failed to decode.
         detail: String,
     },
-    /// The file ends before its declared length (torn write, partial
-    /// copy, truncated download).
+    /// The file ends before the length its header declares (torn write,
+    /// partial copy, truncated download).
     Truncated {
         /// File name (or path) of the offending shard.
         shard: String,
         /// How short it came up.
         detail: String,
     },
-    /// The shard (or wisdom blob) declares a format this build does not
-    /// know; refusing is the only safe answer.
+    /// The shard container or its wisdom payload declares a format
+    /// version this build does not know; refusing is the only safe
+    /// answer.
     VersionUnknown {
         /// File name (or path) of the offending shard.
         shard: String,
@@ -204,9 +207,9 @@ fn io_err(op: &str, path: &Path, detail: impl fmt::Display) -> WhtError {
 /// `atomic::rename` / `atomic::dir_fsync`), which is how the
 /// crash-consistency matrix replays every failure schedule.
 ///
-/// Used for wisdom shards, the legacy single-blob [`Wisdom::save`], and
-/// the benchmark artifacts (`BENCH_*.json`, results CSVs) — an
-/// interrupted run can no longer leave a truncated half-artifact behind.
+/// Used for wisdom shards and the benchmark artifacts
+/// (`BENCH_search.json`, results CSVs) — an interrupted run can no
+/// longer leave a truncated half-artifact behind.
 ///
 /// # Errors
 /// [`WhtError::Io`] naming the failed step. After an error the target
@@ -536,11 +539,12 @@ impl ShardedStore {
         self.load_merged(&[], true)
     }
 
-    /// Verify every shard **without** quarantining or merging: the
-    /// number of intact shards and the diagnostics of the damaged ones.
-    pub fn fsck(&self) -> (usize, Vec<StoreDiagnostic>) {
-        let report = self.load_merged(&[], false);
-        (report.shards_loaded, report.diagnostics)
+    /// [`ShardedStore::load`] **without** quarantining: the merged
+    /// wisdom of the intact shards and the diagnostics of the damaged
+    /// ones, with the directory left exactly as found (`quarantined` is
+    /// always 0).
+    pub fn fsck(&self) -> StoreLoad {
+        self.load_merged(&[], false)
     }
 
     /// [`ShardedStore::load`] across this store *and* `extra_roots`
@@ -622,14 +626,25 @@ fn read_shard(name: &str, path: &Path) -> Result<(u64, Wisdom), StoreDiagnostic>
         shard: name.to_string(),
         detail: format!("payload is not UTF-8: {e}"),
     })?;
-    let wisdom = classify_wisdom_json(name, text)?;
+    // A payload cut short never gets here: decode_shard checked its
+    // length against the header and its checksum.
+    let wisdom = Wisdom::from_json(text).map_err(|e| match unsupported_version(text) {
+        Some(version) => StoreDiagnostic::VersionUnknown {
+            shard: name.to_string(),
+            version,
+        },
+        None => StoreDiagnostic::Corrupt {
+            shard: name.to_string(),
+            detail: e.to_string(),
+        },
+    })?;
     Ok((stamp, wisdom))
 }
 
-/// Move a refused shard (or legacy wisdom blob) into `root/quarantine/`,
-/// never overwriting an earlier quarantined file of the same name.
-/// Best-effort: `true` when the file actually moved.
-pub(crate) fn quarantine_file(root: &Path, path: &Path) -> bool {
+/// Move a refused shard into `root/quarantine/`, never overwriting an
+/// earlier quarantined file of the same name. Best-effort: `true` when
+/// the file actually moved.
+fn quarantine_file(root: &Path, path: &Path) -> bool {
     let qdir = root.join("quarantine");
     if fs::create_dir_all(&qdir).is_err() {
         return false;

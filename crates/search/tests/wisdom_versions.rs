@@ -1,14 +1,18 @@
 //! Compatibility and corruption coverage for the full wisdom version
-//! corpus: every historical blob format (v1–v6, plus current v7) loads,
-//! re-serializes as version 7 without executor fields, and in truncated,
-//! bit-flipped, and future-version form must be rejected with the right
-//! `StoreDiagnostic` through `Wisdom::load_or_default`; a damaged or
-//! out-of-range blob must never be partially applied.
+//! corpus, through the store's durable path: every historical document
+//! format (v1–v6, plus current v7) written as a shard loads through
+//! `ShardedStore::load` and re-serializes as version 7 without executor
+//! fields; a truncated, bit-flipped, future-version or invalid shard is
+//! refused with exactly one `StoreDiagnostic` of the right kind and is
+//! never partially applied.
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use wht_core::Plan;
-use wht_search::{failpoints, InstructionCost, Planner, StoreDiagnostic, Wisdom};
+use wht_search::{
+    encode_shard, failpoints, InstructionCost, Planner, ShardedStore, StoreDiagnostic, StoreLoad,
+    Wisdom,
+};
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir =
@@ -18,7 +22,38 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// One handcrafted, valid blob per historical format.
+/// Write `file` (whole shard bytes) as `{name}.shard` in a fresh store
+/// directory and load that store.
+fn load_shard_file(dir: &Path, name: &str, file: &[u8]) -> StoreLoad {
+    let _ = fs::remove_dir_all(dir);
+    fs::create_dir_all(dir).unwrap();
+    fs::write(dir.join(format!("{name}.shard")), file).unwrap();
+    ShardedStore::open(dir).unwrap().load()
+}
+
+/// The one diagnostic a refused shard must yield, with nothing applied
+/// and the file moved out of the way.
+fn refused_once(tag: &str, dir: &Path, loaded: &StoreLoad) -> StoreDiagnostic {
+    assert!(
+        loaded.wisdom.is_empty(),
+        "[{tag}] nothing partially applied"
+    );
+    assert_eq!(loaded.shards_loaded, 0, "[{tag}]");
+    assert_eq!(
+        loaded.diagnostics.len(),
+        1,
+        "[{tag}] {:?}",
+        loaded.diagnostics
+    );
+    assert_eq!(loaded.quarantined, 1, "[{tag}]");
+    assert!(
+        !dir.join(format!("{tag}.shard")).exists(),
+        "[{tag}] damaged shard quarantined"
+    );
+    loaded.diagnostics[0].clone()
+}
+
+/// One handcrafted, valid document per historical format.
 fn corpus() -> Vec<(&'static str, String)> {
     vec![
         (
@@ -76,36 +111,42 @@ fn corpus() -> Vec<(&'static str, String)> {
 
 #[test]
 fn every_corpus_blob_loads_clean_as_a_control() {
+    let _isolate = failpoints::scope();
+    let dir = temp_dir("control");
     for (tag, blob) in corpus() {
-        let w = Wisdom::from_json(&blob).unwrap_or_else(|e| panic!("[{tag}] control: {e}"));
-        assert!(w.get(4, "x").is_some(), "[{tag}]");
+        let loaded = load_shard_file(&dir, tag, &encode_shard(1, blob.as_bytes()));
+        assert!(
+            loaded.diagnostics.is_empty(),
+            "[{tag}] {:?}",
+            loaded.diagnostics
+        );
+        assert_eq!(loaded.shards_loaded, 1, "[{tag}]");
+        let w = loaded.wisdom;
+        assert_eq!(
+            w.get(4, "x").unwrap().to_string(),
+            "split[small[2],small[2]]",
+            "[{tag}]"
+        );
+        assert!(w.to_json().contains("\"version\": 7"), "[{tag}]");
+        match tag {
+            // The v6 document restores its extras.
+            "v6-provenance" => {
+                assert_eq!(w.measured_ns(4, "x"), Some(910));
+                let p = w.provenance(4, "x").expect("provenance restored");
+                assert_eq!(p.composition.as_deref(), Some(&[2u32, 2][..]));
+                assert_eq!((p.candidates, p.evaluated, p.pruned), (8, 5, 3));
+            }
+            // The v7 document's executor fields are ignored; its
+            // measurement is restored.
+            "v7-stream" => assert_eq!(w.measured_ns(4, "x"), Some(880)),
+            _ => {}
+        }
     }
-    // The v6 blob restores its extras.
-    let (_, v6) = corpus()
-        .into_iter()
-        .find(|(tag, _)| *tag == "v6-provenance")
-        .unwrap();
-    let w = Wisdom::from_json(&v6).unwrap();
-    assert_eq!(w.measured_ns(4, "x"), Some(910));
-    let p = w.provenance(4, "x").expect("provenance restored");
-    assert_eq!(p.composition.as_deref(), Some(&[2u32, 2][..]));
-    assert_eq!((p.candidates, p.evaluated, p.pruned), (8, 5, 3));
-    // And the v7 blob, whose executor fields are ignored, restores its
-    // plan and measurement.
-    let (_, v7) = corpus()
-        .into_iter()
-        .find(|(tag, _)| *tag == "v7-stream")
-        .unwrap();
-    let w = Wisdom::from_json(&v7).unwrap();
-    assert_eq!(
-        w.get(4, "x").unwrap().to_string(),
-        "split[small[2],small[2]]"
-    );
-    assert_eq!(w.measured_ns(4, "x"), Some(880));
+    let _ = fs::remove_dir_all(&dir);
 }
 
 /// The executor fields older builds wrote (see the format history in
-/// `wht_search::planner`); this build reads past them and never writes
+/// `wht_search::wisdom`); this build reads past them and never writes
 /// them.
 const EXECUTOR_FIELDS: [&str; 6] = [
     "fuse_budget",
@@ -142,15 +183,11 @@ fn out_of_range_sizes_are_rejected_without_panicking() {
     let blob = "{\"version\":7,\"entries\":[{\"n\":70,\"backend\":\"x\",\"plan\":\"small[2]\"}]}";
     assert!(Wisdom::from_json(blob).is_err());
     let dir = temp_dir("range");
-    let path = dir.join("n70.json");
-    fs::write(&path, blob).unwrap();
-    let (w, diags) = Wisdom::load_or_default(&path);
-    assert!(w.is_empty());
-    assert_eq!(diags.len(), 1);
+    let loaded = load_shard_file(&dir, "n70", &encode_shard(1, blob.as_bytes()));
+    let diag = refused_once("n70", &dir, &loaded);
     assert!(
-        matches!(diags[0], StoreDiagnostic::Corrupt { .. }),
-        "got {}",
-        diags[0]
+        matches!(diag, StoreDiagnostic::Corrupt { .. }),
+        "got {diag}"
     );
     let _ = fs::remove_dir_all(&dir);
     let plan = Plan::iterative(2).unwrap();
@@ -158,42 +195,49 @@ fn out_of_range_sizes_are_rejected_without_panicking() {
 }
 
 #[test]
-fn truncated_blobs_of_every_version_classify_as_truncated() {
+fn truncated_shards_of_every_version_classify_as_truncated() {
     let _isolate = failpoints::scope();
     let dir = temp_dir("trunc");
     for (tag, blob) in corpus() {
-        let path = dir.join(format!("{tag}.json"));
-        fs::write(&path, &blob[..blob.len() / 2]).unwrap();
-        let (w, diags) = Wisdom::load_or_default(&path);
-        assert!(w.is_empty(), "[{tag}] nothing partially applied");
-        assert_eq!(diags.len(), 1, "[{tag}]");
+        let file = encode_shard(1, blob.as_bytes());
+        let cut = &file[..file.len() - blob.len() / 2];
+        let loaded = load_shard_file(&dir, tag, cut);
+        let diag = refused_once(tag, &dir, &loaded);
         assert!(
-            matches!(diags[0], StoreDiagnostic::Truncated { .. }),
-            "[{tag}] got {}",
-            diags[0]
+            matches!(diag, StoreDiagnostic::Truncated { .. }),
+            "[{tag}] got {diag}"
         );
-        assert!(!path.exists(), "[{tag}] damaged blob quarantined");
     }
     let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
-fn bitflipped_blobs_of_every_version_classify_as_corrupt() {
+fn bitflipped_shards_of_every_version_classify_as_corrupt() {
     let _isolate = failpoints::scope();
     let dir = temp_dir("flip");
     for (tag, blob) in corpus() {
         // Flip a structural character: the first '{' of the entries
         // array becomes garbage, breaking JSON without shortening it.
         let flipped = blob.replacen("[{", "[?", 1);
-        let path = dir.join(format!("{tag}.json"));
-        fs::write(&path, &flipped).unwrap();
-        let (w, diags) = Wisdom::load_or_default(&path);
-        assert!(w.is_empty(), "[{tag}] nothing partially applied");
-        assert_eq!(diags.len(), 1, "[{tag}]");
+        assert_eq!(flipped.len(), blob.len());
+        // On disk under the intact document's checksum, the header
+        // catches the flip before the payload is parsed...
+        let mut file = encode_shard(1, blob.as_bytes());
+        let payload_at = file.len() - blob.len();
+        file[payload_at..].copy_from_slice(flipped.as_bytes());
+        let loaded = load_shard_file(&dir, tag, &file);
+        let diag = refused_once(tag, &dir, &loaded);
         assert!(
-            matches!(diags[0], StoreDiagnostic::Corrupt { .. }),
-            "[{tag}] got {}",
-            diags[0]
+            matches!(diag, StoreDiagnostic::ChecksumMismatch { .. }),
+            "[{tag}] got {diag}"
+        );
+        // ...and the same flip re-encoded with a valid checksum fails
+        // the wisdom parse instead.
+        let loaded = load_shard_file(&dir, tag, &encode_shard(1, flipped.as_bytes()));
+        let diag = refused_once(tag, &dir, &loaded);
+        assert!(
+            matches!(diag, StoreDiagnostic::Corrupt { .. }),
+            "[{tag}] got {diag}"
         );
     }
     let _ = fs::remove_dir_all(&dir);
@@ -210,14 +254,10 @@ fn future_versions_classify_as_version_unknown() {
             1,
         );
         assert!(future.contains("\"version\":99"), "[{tag}] rewrite applied");
-        let path = dir.join(format!("{tag}.json"));
-        fs::write(&path, &future).unwrap();
-        let (w, diags) = Wisdom::load_or_default(&path);
-        assert!(w.is_empty(), "[{tag}]");
-        assert_eq!(diags.len(), 1, "[{tag}]");
-        match &diags[0] {
+        let loaded = load_shard_file(&dir, tag, &encode_shard(1, future.as_bytes()));
+        match refused_once(tag, &dir, &loaded) {
             StoreDiagnostic::VersionUnknown { version, .. } => {
-                assert_eq!(*version, 99, "[{tag}]")
+                assert_eq!(version, 99, "[{tag}]")
             }
             other => panic!("[{tag}] expected VersionUnknown, got {other}"),
         }
@@ -227,23 +267,36 @@ fn future_versions_classify_as_version_unknown() {
 
 #[test]
 fn a_blob_with_one_bad_entry_is_never_partially_applied() {
-    // Two entries, the second carrying an invalid plan: from_json must
-    // fail as a whole (no partial application), and load_or_default must
-    // degrade to empty.
+    // Two entries, the second carrying an invalid plan: the shard fails
+    // as a whole (its good first entry is not applied), while a
+    // neighbouring intact shard still loads.
     let _isolate = failpoints::scope();
     let blob = "{\"version\":1,\"entries\":[\
                  {\"n\":4,\"backend\":\"x\",\"plan\":\"split[small[2],small[2]]\"},\
                  {\"n\":3,\"backend\":\"x\",\"plan\":\"small[\"}]}";
     assert!(Wisdom::from_json(blob).is_err());
     let dir = temp_dir("partial");
-    let path = dir.join("two-entry.json");
-    fs::write(&path, blob).unwrap();
-    let (w, diags) = Wisdom::load_or_default(&path);
+    let neighbour = "{\"version\":7,\"entries\":[{\"n\":5,\"backend\":\"x\",\
+                     \"plan\":\"split[small[2],small[3]]\"}]}";
+    fs::write(dir.join("n05.shard"), encode_shard(1, neighbour.as_bytes())).unwrap();
+    fs::write(
+        dir.join("two-entry.shard"),
+        encode_shard(1, blob.as_bytes()),
+    )
+    .unwrap();
+    let loaded = ShardedStore::open(&dir).unwrap().load();
     assert!(
-        w.get(4, "x").is_none(),
-        "the good first entry must not survive a bad blob"
+        loaded.wisdom.get(4, "x").is_none(),
+        "the good first entry must not survive a bad shard"
     );
-    assert!(w.is_empty());
-    assert_eq!(diags.len(), 1);
+    assert!(loaded.wisdom.get(5, "x").is_some(), "the neighbour loads");
+    assert_eq!(loaded.wisdom.len(), 1);
+    assert_eq!(loaded.shards_loaded, 1);
+    assert_eq!(loaded.diagnostics.len(), 1, "{:?}", loaded.diagnostics);
+    assert!(
+        matches!(loaded.diagnostics[0], StoreDiagnostic::Corrupt { .. }),
+        "got {}",
+        loaded.diagnostics[0]
+    );
     let _ = fs::remove_dir_all(&dir);
 }
